@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 
 __all__ = ["ScrubMatch", "ScrubResult", "TextScrubber", "luhn_valid"]
 
@@ -275,11 +275,6 @@ class TextScrubber:
             cursor = match.end
         parts.append(text[cursor:])
         return ScrubResult(text="".join(parts), matches=tuple(matches))
-
-    def scrub_many(self, texts: Iterator[str] | list[str]) -> list[ScrubResult]:
-        """Scrub a batch of texts (the pipeline's chunk entry point)."""
-        scrub = self.scrub
-        return [scrub(text) for text in texts]
 
 
 def _looks_like_card(candidate: str) -> bool:

@@ -10,7 +10,6 @@ and to the report generators.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Sequence
 
 from ..errors import AssessmentError
 from ..ethics import (
@@ -141,8 +140,3 @@ class ResearchProject:
     ) -> "ResearchProject":
         """A copy of the project with a different safeguard plan."""
         return dataclasses.replace(self, safeguards=safeguards)
-
-    def with_harms(
-        self, harms: Sequence[HarmInstance]
-    ) -> "ResearchProject":
-        return dataclasses.replace(self, harms=tuple(harms))

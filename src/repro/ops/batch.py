@@ -4,24 +4,26 @@
 object per line (``{"op": "table1", "args": {"format": "csv"}}``),
 fans the requests out over a pool of pre-warmed worker processes,
 and emits one compact JSON response line per request **in input
-order** — byte-identical for any worker count, by the same
-ordered-drain discipline the safeguard pipeline uses. Each response
-line carries the operation's structured payload plus the exact
-stdout the equivalent subcommand would have produced, so a batch run
-is a verifiable transcript of serial CLI invocations.
+order** — byte-identical for any worker count, through the same
+ordered fan-out (:mod:`repro.fanout`) the safeguard pipeline uses.
+Each response line carries the operation's structured payload plus
+the exact stdout the equivalent subcommand would have produced, so
+a batch run is a verifiable transcript of serial CLI invocations.
 
 The parallel path is **cache-aware** and **chunked** (see
 :mod:`repro.ops.pool`): the coordinator validates every distinct
 operation once up front (an unknown op never spins up a worker),
 serves pure requests whose content address is already in its shared
 :class:`~repro.ops.cache.ResultCache` without touching the pool,
-groups the rest into contiguous per-worker chunks, and folds the
-``(key, response)`` pairs each chunk computed back into the shared
-cache — so a pure result computed by worker A is a coordinator hit
-for worker B's identical request. With ``warm=True`` the pool, the
-coordinator context and the shared cache all persist across batch
-runs, which is what turns the old cold-start inversion (402 req/s at
-4 workers vs 2802 serial) into a strict win.
+groups the rest into contiguous per-worker chunks, drains them in
+order (a lost worker is a :class:`~repro.errors.BatchError` naming
+the lost requests), and folds the ``(key, response)`` pairs each
+chunk computed back into the shared cache — so a pure result
+computed by worker A is a coordinator hit for worker B's identical
+request. With ``warm=True`` the pool, the coordinator context and
+the shared cache all persist across batch runs, which is what turns
+the old cold-start inversion (402 req/s at 4 workers vs 2802
+serial) into a strict win.
 
 Observability mirrors the pipeline's cross-process design: when the
 coordinator runs an enabled observer, each worker request executes
@@ -38,7 +40,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
-from collections import deque
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -55,12 +56,7 @@ from .cache import ResultCache, cache_key
 from .context import RunContext
 from .failures import describe_failure
 from .kernel import execute
-from .pool import (
-    ChunkResult,
-    WarmPool,
-    auto_chunk_size,
-    warm_pool,
-)
+from .pool import WarmPool, auto_chunk_size, warm_pool
 from .spec import (
     Arg,
     Operation,
@@ -183,11 +179,6 @@ def _batchable_operation(name: str) -> Operation:
     return operation
 
 
-def operation_check(name: str) -> None:
-    """Reject operations the batch surface does not admit."""
-    _batchable_operation(name)
-
-
 def _resolve_operations(
     requests: Sequence[BatchRequest],
 ) -> dict[str, Operation]:
@@ -281,10 +272,6 @@ def _stats_delta(
         "misses": cache.misses - misses_before,
     }
 
-
-#: Dispatch-plan entry kinds: serve locally vs drain from a chunk.
-_LOCAL = "local"
-_POOL = "pool"
 
 #: Requests listed verbatim in a flight-recorded logical plan before
 #: the remainder is summarised as an ``omitted`` count (no silent
@@ -529,8 +516,8 @@ class BatchExecutor:
         requests: Sequence[BatchRequest],
         operations: dict[str, Operation],
         ctx: RunContext,
-    ) -> tuple[list[tuple], list[tuple]]:
-        """Split requests into local serves and contiguous chunks.
+    ) -> tuple[list[tuple[BatchRequest, bool]], list[tuple]]:
+        """Mark each request local or pooled; chunk the pooled ones.
 
         A request stays **local** (served by the coordinator at its
         drain position, without touching the pool) when it cannot be
@@ -543,50 +530,34 @@ class BatchExecutor:
         the pool.
         """
         cache = ctx.cache
-        entries: list[tuple] = []
-        pending: list[int] = []
+        plan: list[tuple[BatchRequest, bool]] = []
+        pooled: list[tuple] = []
         scheduled: set[str] = set()
         for request in requests:
             operation = operations.get(request.op)
-            if operation is None:
-                entries.append((_LOCAL, request, 0, 0))
-                continue
-            if cache is not None and operation.pure:
+            local = operation is None
+            if not local and cache is not None and operation.pure:
                 try:
                     built = build_request(operation, request.args)
                     digest = ctx.cache_digest(operation, built)
                 except ReproError:
                     # Doomed request: fails identically inline.
-                    entries.append((_LOCAL, request, 0, 0))
-                    continue
-                key = cache_key(operation.name, built, digest)
-                if key in cache or key in scheduled:
-                    entries.append((_LOCAL, request, 0, 0))
-                    continue
-                scheduled.add(key)
-            entries.append((_POOL, request, 0, 0))
-            pending.append(len(entries) - 1)
+                    local = True
+                else:
+                    key = cache_key(operation.name, built, digest)
+                    local = key in cache or key in scheduled
+                    scheduled.add(key)
+            plan.append((request, local))
+            if not local:
+                pooled.append((request.index, request.op, request.args))
         size = self.chunk_size or auto_chunk_size(
-            len(pending), self.workers
+            len(pooled), self.workers
         )
-        chunks: list[tuple] = []
-        for offset in range(0, len(pending), size):
-            block = pending[offset : offset + size]
-            chunk_id = len(chunks)
-            chunk = []
-            for position, entry_index in enumerate(block):
-                _, request, _, _ = entries[entry_index]
-                entries[entry_index] = (
-                    _POOL,
-                    request,
-                    chunk_id,
-                    position,
-                )
-                chunk.append(
-                    (request.index, request.op, request.args)
-                )
-            chunks.append(tuple(chunk))
-        return entries, chunks
+        chunks = [
+            tuple(pooled[offset : offset + size])
+            for offset in range(0, len(pooled), size)
+        ]
+        return plan, chunks
 
     def _dispatch(
         self,
@@ -601,94 +572,54 @@ class BatchExecutor:
         hits_before = cache.hits if cache is not None else 0
         misses_before = cache.misses if cache is not None else 0
         plan, chunks = self._plan(requests, operations, ctx)
-        window = self.workers * 2
-        futures: deque = deque()
-        results: dict[int, ChunkResult] = {}
-        submitted = 0
+        results = pool.fanout(chunks, telemetry)
+        result = None
+        position = 0
         worker_hits = 0
         worker_misses = 0
         lines: list[dict] = []
-
-        def fill_window() -> None:
-            nonlocal submitted
-            while submitted < len(chunks) and len(futures) < window:
-                futures.append(
-                    (
-                        submitted,
-                        pool.submit_chunk(
-                            chunks[submitted], telemetry
-                        ),
-                    )
-                )
-                submitted += 1
-
-        def drain_next_chunk() -> None:
-            nonlocal worker_hits, worker_misses
-            chunk_id, future = futures.popleft()
-            result = pool.outcome(future, chunks[chunk_id])
-            if cache is not None:
-                cache.merge(result.pairs)
-            worker_hits += result.hits
-            worker_misses += result.misses
-            results[chunk_id] = result
-            fill_window()
-
         series = window_series()
-
-        def observe_line(
-            line: dict, latency: float | None, outcome: str | None
-        ) -> None:
-            if series is None:
-                return
-            series.observe(
-                RequestSample(
-                    ok=line["ok"],
-                    latency=latency,
-                    queue_depth=len(futures),
-                    busy_workers=min(len(futures), self.workers),
-                    workers=self.workers,
-                    cache=outcome,
-                )
-            )
-
-        fill_window()
-        for kind, request, chunk_id, position in plan:
-            if kind == _LOCAL:
-                local_hits = (
-                    cache.hits if cache is not None else 0
-                )
-                local_misses = (
-                    cache.misses if cache is not None else 0
-                )
+        for request, local in plan:
+            # Pool-served requests keep latency and cache outcome None:
+            # their latencies live in the worker span records (a
+            # drain-time measurement would charge queue wait to the
+            # request), their cache outcomes in the worker counters.
+            latency = outcome = None
+            if local:
+                local_hits = cache.hits if cache is not None else 0
+                local_misses = cache.misses if cache is not None else 0
                 started = time.perf_counter()
                 line = _run_one(
-                    request.index,
-                    request.op,
-                    request.args,
-                    ctx,
+                    request.index, request.op, request.args, ctx
                 )
-                lines.append(line)
-                observe_line(
-                    line,
-                    time.perf_counter() - started,
-                    _cache_outcome(cache, local_hits, local_misses),
-                )
-                continue
-            while chunk_id not in results:
-                drain_next_chunk()
-            result = results[chunk_id]
-            shard = result.shards[position]
-            if shard is not None:
-                replay_shard(shard)
-            line = result.lines[position]
+                latency = time.perf_counter() - started
+                outcome = _cache_outcome(cache, local_hits, local_misses)
+            else:
+                if result is None or position == len(result.lines):
+                    result, position = next(results), 0
+                    if cache is not None:
+                        cache.merge(result.pairs)
+                    worker_hits += result.hits
+                    worker_misses += result.misses
+                shard = result.shards[position]
+                if shard is not None:
+                    replay_shard(shard)
+                line = result.lines[position]
+                position += 1
             lines.append(line)
-            # Pool-served latencies live in the worker span records,
-            # not here: a drain-time measurement would charge queue
-            # wait to the request. Cache outcome likewise stays with
-            # the worker's own counters.
-            observe_line(line, None, None)
-            if position + 1 == len(result.lines):
-                del results[chunk_id]
+            if series is not None:
+                series.observe(
+                    RequestSample(
+                        ok=line["ok"],
+                        latency=latency,
+                        queue_depth=results.in_flight,
+                        busy_workers=min(
+                            results.in_flight, self.workers
+                        ),
+                        workers=self.workers,
+                        cache=outcome,
+                    )
+                )
         stats = None
         if cache is not None:
             coordinator = _stats_delta(

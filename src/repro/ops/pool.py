@@ -28,11 +28,13 @@ once per *process lifetime* instead of once per *batch run*:
   contiguous chunks (:func:`auto_chunk_size` targets ~4 chunks per
   worker, capped so a chunk never grows unbounded), amortising the
   submission overhead that dominated small-request batches.
-* **Graceful degradation.** A crashed or unpicklable worker
-  surfaces as :class:`~repro.errors.BatchError` naming the affected
-  request indexes — never a raw ``BrokenProcessPool`` traceback —
-  an ``ops/worker-lost`` audit event is emitted, and the pool
-  discards its broken executor so the next use rebuilds lazily.
+* **Graceful degradation.** Chunks run through the shared ordered
+  fan-out (:class:`~repro.fanout.OrderedFanout`), so a crashed
+  worker surfaces as :class:`~repro.errors.BatchError` naming the
+  affected request indexes — never a raw ``BrokenProcessPool``
+  traceback — with one ``ops/worker-lost`` audit event and one
+  flight incident, and the pool discards its broken executor so the
+  next use rebuilds lazily.
 
 Pools are keyed by ``(workers, cache enablement)`` in a module-level
 registry (:func:`warm_pool`); :func:`shutdown_warm_pools` tears all
@@ -41,19 +43,21 @@ first pool creation registers an ``atexit`` teardown — opt out with
 :func:`set_atexit_shutdown` — so a long-lived session never leaks
 pre-forked workers. :meth:`WarmPool.health` is the liveness/
 readiness report (live workers, rebuilds, cache counters, optional
-probe round-trip) behind ``repro-ethics obs health``. Everything
-submitted to the pool is a module-level function — staticcheck rule
-R9 (worker-safety) audits the submission sites below.
+probe round-trip) behind ``repro-ethics obs health``. Work reaches
+the executor at one submission site, :meth:`WarmPool.submit_chunk`,
+where staticcheck rule R9 (worker-safety) checks the submitted
+callable: a module-level function, not a lambda, nested function or
+bound method, with no mutable default and no lambda argument.
 """
 
 from __future__ import annotations
 
 import atexit
 import dataclasses
-from concurrent.futures import BrokenExecutor
+from collections.abc import Iterable
 
 from ..errors import BatchError
-from ..observability import audit_event, flight_recorder
+from ..fanout import OrderedFanout, worker_lost
 from ..observability.worker import TelemetryShard, WorkerTelemetry
 from .cache import ResultCache, cache_key
 from .context import RunContext
@@ -241,46 +245,36 @@ class WarmPool:
 
         Submission normally spawns workers on demand; a server (or
         benchmark) that wants the fork+warm-up cost paid up front
-        submits one empty probe chunk per worker, which forces the
-        full complement of processes to spawn and run
-        :func:`_warm_worker`.
+        sends one empty probe chunk per worker through
+        :meth:`fanout`, which forces the full complement of processes
+        to spawn and run :func:`_warm_worker`.
         """
-        executor = self._ensure()
-        probes = [
-            executor.submit(_execute_chunk, (), False, self.use_cache)
-            for _ in range(self.workers)
-        ]
-        for probe in probes:
-            self.outcome(probe, ())
+        for _ in self.fanout([()] * self.workers, False):
+            pass
         return self.workers
 
-    def submit_chunk(self, chunk: tuple, telemetry: bool):
-        """Submit one ``(index, op, args)`` chunk; returns its future.
+    def fanout(
+        self, chunks: Iterable[tuple], telemetry: bool
+    ) -> OrderedFanout:
+        """The chunks' results in order; worker loss is a BatchError."""
+        return OrderedFanout(
+            lambda chunk: self.submit_chunk(chunk, telemetry),
+            chunks,
+            workers=self.workers,
+            lost=self._lost,
+            resolve=self.outcome,
+        )
 
-        A pool whose executor died between runs raises
-        :class:`BatchError` (and discards the executor for lazy
-        rebuild) instead of leaking ``BrokenProcessPool``.
-        """
+    def submit_chunk(self, chunk: tuple, telemetry: bool):
+        """Submit one ``(index, op, args)`` chunk; returns its future."""
         executor = self._ensure()
-        try:
-            return executor.submit(
-                _execute_chunk, chunk, telemetry, self.use_cache
-            )
-        except (BrokenExecutor, RuntimeError) as exc:
-            raise self._lost(chunk, exc) from exc
+        return executor.submit(
+            _execute_chunk, chunk, telemetry, self.use_cache
+        )
 
     def outcome(self, future, chunk: tuple) -> ChunkResult:
-        """Resolve one chunk future, mapping pool loss to BatchError.
-
-        The coordinator's drain path: a worker that died mid-chunk
-        surfaces here as :class:`BatchError` naming the affected
-        request indexes, and the executor is discarded for lazy
-        rebuild.
-        """
-        try:
-            return future.result()
-        except BrokenExecutor as exc:
-            raise self._lost(chunk, exc) from exc
+        """Wait for one chunk's result: the coordinator's wait point."""
+        return future.result()
 
     def health(self, *, probe: bool = False) -> dict:
         """The pool's liveness/readiness report, JSON-safe and sorted.
@@ -329,41 +323,24 @@ class WarmPool:
         return report
 
     def _lost(self, chunk: tuple, exc: BaseException) -> BatchError:
-        """Discard the broken executor; describe the loss precisely."""
+        """Discard the broken executor; name the lost requests."""
         self.discard()
-        if chunk:
-            first, last = chunk[0][0], chunk[-1][0]
-            span = (
-                f"request {first}"
-                if first == last
-                else f"requests {first}-{last}"
-            )
-        else:
+        if not chunk:
             span = "a warm-up probe"
-        audit_event(
+        elif chunk[0][0] == chunk[-1][0]:
+            span = f"request {chunk[0][0]}"
+        else:
+            span = f"requests {chunk[0][0]}-{chunk[-1][0]}"
+        return worker_lost(
             "ops",
-            "worker-lost",
-            subject="pool",
+            span,
+            exc,
             workers=self.workers,
-            span=span,
-        )
-        recorder = flight_recorder()
-        if recorder is not None:
-            # The worker-lost dump happens here, at the failure
-            # boundary, so the ring still holds the events that led
-            # up to the loss; the free-text cause and the affected
-            # span are envelope material (they vary with chunking).
-            recorder.incident(
-                "worker-lost",
-                reason=f"{type(exc).__name__}: {exc}",
-                span=span,
-                workers=self.workers,
-                rebuilds=self.rebuilds,
-            )
-        return BatchError(
-            f"worker process lost while running {span} "
-            f"({type(exc).__name__}: {exc}); the pool was discarded "
-            "and will rebuild on next use"
+            error=BatchError,
+            note=(
+                "; the pool was discarded and will rebuild on next use"
+            ),
+            rebuilds=self.rebuilds,
         )
 
     def discard(self) -> None:

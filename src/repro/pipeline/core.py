@@ -7,9 +7,10 @@ runs every stage over each chunk, and merges results **in chunk
 order**. With ``workers <= 1`` everything runs inline with one
 persistent set of stage runners (their caches warm across chunks);
 with more workers, chunks fan out to a ``concurrent.futures``
-process pool and are merged back in submission order, so the
-concatenated output is byte-identical to a serial run (stages are
-deterministic functions of their spec and chunk — see
+process pool through the shared ordered fan-out
+(:mod:`repro.fanout`) and are merged back in submission order, so
+the concatenated output is byte-identical to a serial run (stages
+are deterministic functions of their spec and chunk — see
 :mod:`repro.pipeline.stages`).
 
 Observability: each run accumulates per-stage counters, gauges and
@@ -29,7 +30,10 @@ coordinator stays the chain's single writer and ``workers=N``
 produces the same audit chain content as ``workers=1``. A stage
 exception anywhere surfaces as
 :class:`~repro.pipeline.stages.StageFailure` naming the stage and
-chunk, after a ``pipeline/chunk-failed`` audit event. Timing never
+chunk, after a ``pipeline/chunk-failed`` audit event; a worker
+process that dies surfaces as :class:`~repro.errors.SafeguardError`
+naming the lost chunk, after one ``pipeline/worker-lost`` audit
+event and one ``worker-lost`` flight incident. Timing never
 feeds back into the data path, so observability cannot perturb
 determinism: per-stage "seconds" in parallel mode is aggregate
 worker time (it can exceed wall-clock elapsed), counters are
@@ -41,12 +45,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
-from collections import deque
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 
 from ..datasets.common import chunked
 from ..errors import SafeguardError
+from ..fanout import OrderedFanout, worker_lost
 from ..observability import (
     MetricsRegistry,
     audit_event,
@@ -63,6 +67,10 @@ from ..observability.worker import (
 from .stages import StageFailure, StageRunner, StageSpec
 
 __all__ = ["PipelineResult", "SafeguardPipeline"]
+
+#: One chunk's outcome: records, artifacts, per-stage stats and the
+#: worker's telemetry shard (``None`` when run inline or unobserved).
+_Outcome = tuple[list[dict], list[bytes], list[dict], WorkerTelemetry | None]
 
 #: Counter keys that are point-in-time gauges, merged by max not sum.
 _GAUGE_KEYS = frozenset({"cache_size", "cache_maxsize"})
@@ -138,9 +146,7 @@ def _pool_apply(
     chunk: list[dict],
     index: int,
     telemetry: bool = False,
-) -> tuple[
-    list[dict], list[bytes], list[dict], WorkerTelemetry | None
-]:
+) -> _Outcome:
     """Worker-side entry point (top-level so it pickles).
 
     With *telemetry* (the coordinator runs an enabled observer), the
@@ -322,9 +328,7 @@ class SafeguardPipeline:
 
     def _run_serial(
         self, chunks: Iterator[list[dict]]
-    ) -> Iterator[
-        tuple[list[dict], list[bytes], list[dict], None]
-    ]:
+    ) -> Iterator[_Outcome]:
         """Inline execution with one persistent runner set.
 
         Audit events and spans emit straight into the installed
@@ -339,23 +343,19 @@ class SafeguardPipeline:
 
     def _run_parallel(
         self, chunks: Iterator[list[dict]]
-    ) -> Iterator[
-        tuple[
-            list[dict],
-            list[bytes],
-            list[dict],
-            WorkerTelemetry | None,
-        ]
-    ]:
+    ) -> Iterator[_Outcome]:
         """Process-pool fan-out with ordered merge.
 
-        Futures are drained strictly in submission order (a bounded
-        deque keeps at most ``4 × workers`` chunks in flight), so the
-        merged stream preserves chunk order by construction — and so
+        Chunks run through the shared ordered fan-out
+        (:class:`~repro.fanout.OrderedFanout`): a bounded window of
+        chunks in flight, drained strictly in submission order, so
+        the merged stream preserves chunk order by construction — and
         worker telemetry shards replay into the parent trail in the
-        same order a serial run would have emitted their events.
+        same order a serial run would have emitted their events. A
+        dead worker surfaces as :class:`SafeguardError` naming the
+        lost chunk, after one ``pipeline/worker-lost`` audit event
+        and one flight incident.
         """
-        window = self._workers * 4
         telemetry = get_observer().enabled
         # Build the runners in the parent before the pool exists: on
         # fork platforms every worker inherits the populated
@@ -363,24 +363,21 @@ class SafeguardPipeline:
         # PBKDF2 key stretch, PRF protos) is paid once instead of
         # once per worker. On spawn platforms workers simply rebuild.
         _runners_for(self._specs)
-        with ProcessPoolExecutor(
-            max_workers=self._workers
-        ) as pool:
-            pending: deque = deque()
-            for index, chunk in enumerate(chunks):
-                pending.append(
-                    pool.submit(
-                        _pool_apply,
-                        self._specs,
-                        chunk,
-                        index,
-                        telemetry,
-                    )
-                )
-                if len(pending) >= window:
-                    yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()
+        with ProcessPoolExecutor(max_workers=self._workers) as pool:
+            yield from OrderedFanout(
+                lambda item: pool.submit(
+                    _pool_apply, self._specs, item[1], item[0], telemetry
+                ),
+                enumerate(chunks),
+                workers=self._workers,
+                lost=lambda item, exc: worker_lost(
+                    "pipeline",
+                    f"chunk {item[0]}",
+                    exc,
+                    workers=self._workers,
+                    error=SafeguardError,
+                ),
+            )
 
     def _metrics(
         self,

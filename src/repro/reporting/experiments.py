@@ -30,6 +30,18 @@ class ExperimentOutcome:
     passed: bool
 
 
+def _shown(value: object) -> str:
+    """``repr`` of a claim value, with set members in sorted order.
+
+    Set iteration order varies with the process hash seed; sorting
+    keeps the report bytes stable across runs, as the HTML renderer
+    does for the same claims.
+    """
+    if isinstance(value, (set, frozenset)) and value:
+        return "{" + ", ".join(sorted(map(repr, value))) + "}"
+    return repr(value)
+
+
 def run_reproduction(
     corpus: Corpus | None = None,
 ) -> list[ExperimentOutcome]:
@@ -56,8 +68,8 @@ def run_reproduction(
             ExperimentOutcome(
                 experiment_id="E2-E8",
                 description=f"§5 claim: {check.claim}",
-                expected=repr(check.expected),
-                measured=repr(check.measured),
+                expected=_shown(check.expected),
+                measured=_shown(check.measured),
                 passed=check.ok,
             )
         )

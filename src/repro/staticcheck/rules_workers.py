@@ -1,11 +1,14 @@
 """R9 — worker-safety: process-pool submissions picklable by design.
 
-The batch executor (``ops/batch.py``), the pipeline fan-out
-(``pipeline/core.py``) and the parallel lint itself ship work to
-``ProcessPoolExecutor`` workers. Everything that crosses that
-boundary is pickled, and the failure modes are nasty precisely
-because they are *not* local: a lambda or bound method raises
-``PicklingError`` only when the pool is first exercised, and a
+The warm batch pool (``ops/pool.py``), the pipeline
+(``pipeline/core.py``) and the parallel lint itself
+(``staticcheck/engine.py``) ship work to ``ProcessPoolExecutor``
+workers; the first two share one ordered fan-out
+(:mod:`repro.fanout`) but keep their submission calls beside the
+executors they build, where this rule can see them. Everything that
+crosses that boundary is pickled, and the failure modes are nasty
+precisely because they are *not* local: a lambda or bound method
+raises ``PicklingError`` only when the pool is first exercised, and a
 worker function that closes over shared mutable state silently
 computes against a stale copy in the child process. R9 turns the
 implicit contract into a checked one — every callable handed to a
@@ -25,14 +28,18 @@ Deliberately *not* flagged: reads and writes of module-level
 containers inside worker functions. Those are per-process by
 construction — ``_WORKER_CONTEXTS`` in the batch executor and
 ``_RUNNER_CACHE`` in the pipeline exist precisely to keep expensive
-state resident per worker process, and the ordered merge in both
-executors makes worker-local state invisible in output bytes.
+state resident per worker process, and the ordered fan-out both
+use makes worker-local state invisible in output bytes.
 
 Pool detection is name-based within a module: names bound to a
 ``ProcessPoolExecutor`` (or ``multiprocessing.Pool``) via assignment
 or ``with ... as pool`` are tracked, and ``submit``/``map``-family
-calls on them are audited. Thread pools are exempt — nothing is
-pickled across a thread boundary.
+calls on them are audited, wherever they sit in the module (a
+submission inside a lambda or nested function counts). Names are
+tracked per module only, so a shared helper that took the callable
+as a parameter would hide it; that is why the fan-out engine takes
+a ``submit`` callback rather than a function to submit. Thread
+pools are exempt — nothing is pickled across a thread boundary.
 """
 
 from __future__ import annotations

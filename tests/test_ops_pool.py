@@ -372,6 +372,46 @@ class TestStaticcheckOverPool:
             assert target.id == "_execute_chunk"
         assert WorkerSafetyRule().id == "R9"
 
+    @pytest.mark.parametrize(
+        ("relpath", "worker"),
+        [
+            ("ops/pool.py", "_execute_chunk"),
+            ("pipeline/core.py", "_pool_apply"),
+        ],
+    )
+    def test_r9_flags_a_lambda_at_each_submission_site(
+        self, tmp_path, relpath, worker
+    ):
+        """R9 audits the shipped submission sites, not only fixtures.
+
+        A copy of the module lints clean; the same copy with the
+        submitted worker function swapped for a lambda yields exactly
+        one R9 finding per submission site.
+        """
+        import re
+        from pathlib import Path
+
+        import repro
+        from repro.staticcheck import LintEngine, default_registry
+
+        source = (Path(repro.__file__).parent / relpath).read_text(
+            encoding="utf-8"
+        )
+        broken, sites = re.subn(
+            rf"\.submit\(\s*{worker}\b",
+            ".submit(lambda *args: None",
+            source,
+        )
+        assert sites == 1
+        engine = LintEngine(default_registry().select(["R9"]))
+        for text, expected in ((source, 0), (broken, sites)):
+            target = tmp_path / relpath
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(text, encoding="utf-8")
+            findings = engine.lint_package(tmp_path)
+            assert len(findings) == expected, findings
+            assert all("lambda" in f.message for f in findings)
+
 
 class TestStreamingLoadRequests:
     def test_streams_large_files(self, tmp_path):

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
+import os
 import time
 
 import pytest
@@ -19,12 +21,19 @@ from repro.anonymization import IPAnonymizer, TextScrubber
 from repro.cli.main import main
 from repro.datasets import BooterDatabaseGenerator, PasswordDumpGenerator
 from repro.errors import AnonymizationError, DatasetError, SafeguardError
+from repro.observability import (
+    FlightRecorder,
+    Observer,
+    load_events,
+    observed,
+)
 from repro.pipeline import (
     AnonymizeIPsSpec,
     PseudonymizeSpec,
     SafeguardPipeline,
     ScrubTextSpec,
     SealSpec,
+    StageFailure,
     default_stages,
 )
 from repro.safeguards.storage import SecureContainer
@@ -392,6 +401,71 @@ class TestPipelineCLI:
         metrics = json.loads(capsys.readouterr().out)
         names = [stage["name"] for stage in metrics["stages"]]
         assert names == ["pseudonymize", "scrub"]
+
+
+def _crash_apply(specs, chunk, index, telemetry=False):
+    """A pipeline worker entry that dies without cleanup (test double)."""
+    os._exit(13)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the crash double reaches workers via fork inheritance",
+)
+class TestWorkerLoss:
+    """A dead pipeline worker is reported once, as a batch worker is."""
+
+    @pytest.fixture
+    def crash(self, monkeypatch):
+        from repro.pipeline import core
+
+        monkeypatch.setattr(core, "_pool_apply", _crash_apply)
+
+    def test_loss_is_one_event_one_incident_one_error(
+        self, crash, tmp_path
+    ):
+        log = tmp_path / "audit.jsonl"
+        recorder = FlightRecorder(capacity=32)
+        observer = Observer.recording(log).attach(flight=recorder)
+        pipeline = SafeguardPipeline(
+            all_stages(), workers=2, chunk_size=64
+        )
+        with observed(observer):
+            with pytest.raises(SafeguardError) as excinfo:
+                pipeline.run(booter_source(users=20, days=5))
+        observer.trail.close()
+        assert not isinstance(excinfo.value, StageFailure)
+        assert "worker process lost while running chunk 0" in str(
+            excinfo.value
+        )
+        lost = [
+            event
+            for event in load_events(log)
+            if event.action == "worker-lost"
+        ]
+        assert [(e.category, e.detail["span"]) for e in lost] == [
+            ("pipeline", "chunk 0")
+        ]
+        # One bundle for the fault: no stage-failure dump on top.
+        assert [b.kind for b in recorder.incidents] == ["worker-lost"]
+        envelope = recorder.incidents[0].envelope
+        assert "BrokenProcessPool" in envelope["reason"]
+        assert envelope["context"] == {"span": "chunk 0", "workers": 2}
+
+    def test_cli_prints_one_error_line(self, crash, capsys):
+        code = main(
+            [
+                "pipeline",
+                "--users", "20",
+                "--days", "5",
+                "--workers", "2",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: worker process lost")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestR2PipelineScope:

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.assessment import assess_project
 from repro.reporting import (
     generate_data_management_plan,
@@ -103,3 +110,23 @@ class TestReproductionReport:
         assert "| E1 |" in report
         assert "E13" in report
         assert "Safeguards: " in report
+
+    def test_report_bytes_independent_of_hash_seed(self):
+        """``repro report`` prints the same bytes under any hash seed.
+
+        Set-valued §5 claims once rendered in set iteration order,
+        which follows ``PYTHONHASHSEED``.
+        """
+        src = str(Path(repro.__file__).resolve().parents[1])
+        digests = set()
+        for seed in ("0", "1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            result = subprocess.run(
+                [sys.executable, "-m", "repro", "report"],
+                capture_output=True,
+                env=env,
+                timeout=300,
+            )
+            assert result.returncode == 0, result.stderr[-2000:]
+            digests.add(hashlib.sha256(result.stdout).hexdigest())
+        assert len(digests) == 1
