@@ -1,9 +1,10 @@
 """The ordered fan-out: chunks to worker processes, results in order.
 
-Two callers ship contiguous chunks of work to a process pool — the
-batch executor over a :class:`~repro.ops.pool.WarmPool` and the
-safeguard pipeline over its per-run ``ProcessPoolExecutor`` — and
-both need the same discipline, which lives here once:
+Three callers ship contiguous chunks of work to a process pool — the
+batch executor over a :class:`~repro.ops.pool.WarmPool`, and the
+safeguard pipeline and the parallel lint each over a per-run
+``ProcessPoolExecutor`` — and all need the same discipline, which
+lives here once:
 
 * **A bounded window.** At most :data:`IN_FLIGHT_PER_WORKER` ×
   workers chunks are in flight; each drained chunk frees one slot,
@@ -77,11 +78,6 @@ class OrderedFanout(Iterator):
         self._pending: deque = deque()
         self._refused: tuple | None = None
         self._top_up()
-
-    @property
-    def in_flight(self) -> int:
-        """Chunks submitted and not yet drained."""
-        return len(self._pending)
 
     def _top_up(self) -> None:
         """Submit items until the window is full or the pool refuses."""

@@ -45,31 +45,24 @@ __all__ = [
     "observed",
     "set_observer",
     "tracer",
-    "window_series",
 ]
 
 
 class Observer:
-    """A bundle of audit trail, metrics registry, tracer — and the
-    operational health surface: an optional flight recorder and an
-    optional logical-window series.
+    """A bundle of audit trail, metrics registry, tracer — and an
+    optional flight recorder.
 
     Components left as ``None`` fall back to the shared no-op
-    singletons (the health components stay ``None`` — they have no
-    null twin because their helpers return ``None`` when absent);
-    ``enabled`` is True when any real component is present. Build one
-    per run (or per process) and install it with
+    singletons (the flight recorder stays ``None`` — it has no null
+    twin because :func:`flight_recorder` returns ``None`` when
+    absent); ``enabled`` is True when any real component is present.
+    SLO windows are not a component: they are derived afterwards from
+    the audit chain (:func:`~repro.observability.windows_from_events`).
+    Build one per run (or per process) and install it with
     :func:`set_observer` / :func:`observed`.
     """
 
-    __slots__ = (
-        "trail",
-        "metrics",
-        "tracer",
-        "flight",
-        "windows",
-        "enabled",
-    )
+    __slots__ = ("trail", "metrics", "tracer", "flight", "enabled")
 
     def __init__(
         self,
@@ -77,19 +70,16 @@ class Observer:
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         flight=None,
-        windows=None,
     ) -> None:
         self.trail = trail
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.flight = flight
-        self.windows = windows
         self.enabled = (
             trail is not None
             or self.metrics.enabled
             or self.tracer.enabled
             or flight is not None
-            or windows is not None
         )
 
     @classmethod
@@ -108,25 +98,19 @@ class Observer:
             tracer=Tracer(registry),
         )
 
-    def attach(self, *, flight=None, windows=None) -> "Observer":
-        """Attach health components to a built observer; returns it.
+    def attach(self, *, flight=None) -> "Observer":
+        """Attach a flight recorder to a built observer; returns it.
 
         The factory paths (:meth:`recording`, the RunContext
         helpers) stay flight-agnostic; callers that also want a
-        recorder or a window series bolt them on here. Attaching a
-        real component flips ``enabled`` — a flight-only observer
-        still turns on worker telemetry shards, which is what routes
-        worker events back into the coordinator's ring.
+        recorder bolt it on here. Attaching one flips ``enabled`` — a
+        flight-only observer still turns on worker telemetry shards,
+        which is what routes worker events back into the
+        coordinator's ring.
         """
         if flight is not None:
             self.flight = flight
-        if windows is not None:
-            self.windows = windows
-        self.enabled = (
-            self.enabled
-            or self.flight is not None
-            or self.windows is not None
-        )
+            self.enabled = True
         return self
 
 
@@ -203,11 +187,6 @@ def flight_recorder():
     is.
     """
     return _current.flight
-
-
-def window_series():
-    """The installed logical-window series, or ``None`` when absent."""
-    return _current.windows
 
 
 def tracer() -> Tracer:

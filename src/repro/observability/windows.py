@@ -9,10 +9,11 @@ is a pure function of the chain, so ``workers=1`` and ``workers=N``
 batch runs of the same request file window identically.
 
 * :class:`RequestSample` — one request's contribution: outcome,
-  optional latency (seconds), queue depth at drain time, worker
-  busyness, cache hit/miss. Every field except ``ok`` is optional
-  because the two feeders differ: a live batch executor knows
-  latencies and queue depths, an audit chain knows only outcomes.
+  optional latency (seconds), queue depth, worker busyness, cache
+  hit/miss. Every field except ``ok`` is optional because the one
+  feeder in the package, the audit chain, knows only outcomes; the
+  other fields are there for callers that build samples themselves
+  (and for request spans, once the request path has them).
 * :class:`Window` — the per-window aggregate: ok/failed counts, a
   latency :class:`~repro.observability.metrics.Histogram` over the
   shared :data:`~repro.observability.metrics.BUCKET_BOUNDS` (which
@@ -59,9 +60,11 @@ class RequestSample:
 
     ``latency`` is in seconds; ``cache`` is ``"hit"``, ``"miss"`` or
     ``None`` (unknown); ``queue_depth`` counts work in flight behind
-    this request at drain time; ``busy_workers``/``workers`` feed the
-    utilization series. Unknown fields stay ``None`` and simply do
-    not contribute — a window only reports series it actually saw.
+    this request; ``busy_workers``/``workers`` feed the utilization
+    series. Unknown fields stay ``None`` and simply do not contribute
+    — a window only reports series it actually saw, and samples
+    derived from the audit chain (:func:`windows_from_events`) carry
+    only ``ok``.
     """
 
     ok: bool = True

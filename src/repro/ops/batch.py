@@ -39,18 +39,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import time
 from collections.abc import Sequence
 from pathlib import Path
 
 from ..errors import BatchError, ReproError
-from ..observability import (
-    RequestSample,
-    audit_event,
-    flight_recorder,
-    get_observer,
-    window_series,
-)
+from ..observability import audit_event, flight_recorder, get_observer
 from ..observability.worker import replay_shard
 from .cache import ResultCache, cache_key
 from .context import RunContext
@@ -76,11 +69,17 @@ __all__ = [
 
 @dataclasses.dataclass(frozen=True)
 class BatchRequest:
-    """One parsed line of a batch request file."""
+    """One parsed line of a batch request file.
+
+    A malformed line is still a request: *error* holds its
+    ``path:N: reason`` text, *op* its ``op`` string if it had one,
+    and the request fails alone, at its input position.
+    """
 
     index: int
-    op: str
+    op: str | None
     args: dict
+    error: str | None = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -97,46 +96,55 @@ class BatchResult:
         )
 
 
+def _line_error(body: object) -> str | None:
+    """Why a decoded line is not a request, or ``None`` if it is."""
+    if not isinstance(body, dict) or not isinstance(
+        body.get("op"), str
+    ):
+        return "each request needs an 'op' string"
+    if not isinstance(body.get("args", {}), dict):
+        return "'args' must be an object"
+    unknown = set(body) - {"op", "args"}
+    if unknown:
+        return f"unknown request keys {sorted(unknown)}"
+    return None
+
+
 def _parse_request(
     path: str | Path, number: int, line: str, index: int
 ) -> BatchRequest | None:
-    """Parse one raw line; ``None`` for blanks, BatchError otherwise."""
+    """Parse one raw line; ``None`` for blanks."""
     if not line.strip():
         return None
     try:
         body = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise BatchError(
-            f"{path}:{number}: invalid JSON: {exc}"
-        ) from exc
-    if not isinstance(body, dict) or not isinstance(
-        body.get("op"), str
-    ):
-        raise BatchError(
-            f"{path}:{number}: each request needs an 'op' string"
+        body, reason = None, f"invalid JSON: {exc}"
+    else:
+        reason = _line_error(body)
+    if reason is None:
+        return BatchRequest(
+            index=index, op=body["op"], args=body.get("args", {})
         )
-    args = body.get("args", {})
-    if not isinstance(args, dict):
-        raise BatchError(
-            f"{path}:{number}: 'args' must be an object"
-        )
-    unknown = set(body) - {"op", "args"}
-    if unknown:
-        raise BatchError(
-            f"{path}:{number}: unknown request keys "
-            f"{sorted(unknown)}"
-        )
-    return BatchRequest(index=index, op=body["op"], args=args)
+    op = body.get("op") if isinstance(body, dict) else None
+    return BatchRequest(
+        index=index,
+        op=op if isinstance(op, str) else None,
+        args={},
+        error=f"{path}:{number}: {reason}",
+    )
 
 
 def load_requests(path: str | Path) -> tuple[BatchRequest, ...]:
     """Parse a JSONL request file; blank lines are skipped.
 
-    Every line must be a JSON object with an ``op`` string and an
-    optional ``args`` object; anything else raises
-    :class:`~repro.errors.BatchError` naming the offending line.
-    The file is streamed line by line, so a 100k-request file is
-    never held in memory twice (once raw, once parsed).
+    Every line should be a JSON object with an ``op`` string and an
+    optional ``args`` object. Anything else is kept as a request
+    whose ``error`` names the offending line, so it becomes a failed
+    response line in input order rather than aborting the batch; an
+    unreadable file raises :class:`~repro.errors.BatchError`. The
+    file is streamed line by line, so a 100k-request file is never
+    held in memory twice (once raw, once parsed).
     """
     requests: list[BatchRequest] = []
     try:
@@ -189,7 +197,7 @@ def _resolve_operations(
     local error lines without a single worker being spawned.
     """
     operations: dict[str, Operation] = {}
-    for name in {request.op for request in requests}:
+    for name in {r.op for r in requests if r.error is None}:
         try:
             operations[name] = _batchable_operation(name)
         except ReproError:
@@ -198,7 +206,11 @@ def _resolve_operations(
 
 
 def _run_one(
-    index: int, name: str, values: dict, ctx: RunContext
+    index: int,
+    name: str | None,
+    values: dict,
+    ctx: RunContext,
+    error: str | None = None,
 ) -> dict:
     """Execute one request; domain failures become failed lines.
 
@@ -206,10 +218,15 @@ def _run_one(
     captured by the worker shard in parallel mode, chained inline in
     serial mode — and never lets a :class:`ReproError` escape: the
     failure maps through the kernel's error table into the line body,
-    so one bad request cannot abort the batch.
+    so one bad request cannot abort the batch. A malformed line
+    arrives with its parse *error* and fails as a ``BatchError``.
     """
-    audit_event("ops", "request-started", subject=name, index=index)
+    audit_event(
+        "ops", "request-started", subject=name or "", index=index
+    )
     try:
+        if error is not None:
+            raise BatchError(error)
         operation = _batchable_operation(name)
         response = execute(operation, values, context=ctx)
     except ReproError as exc:
@@ -217,7 +234,7 @@ def _run_one(
         audit_event(
             "ops",
             "request-failed",
-            subject=name,
+            subject=name or "",
             index=index,
             error=message,
         )
@@ -291,7 +308,8 @@ def _logical_plan(requests: Sequence[BatchRequest]) -> dict:
     """
     ops: dict[str, int] = {}
     for request in requests:
-        ops[request.op] = ops.get(request.op, 0) + 1
+        if request.op is not None:
+            ops[request.op] = ops.get(request.op, 0) + 1
     order = [
         [request.index, request.op]
         for request in requests[:_PLAN_ORDER_LIMIT]
@@ -304,19 +322,6 @@ def _logical_plan(requests: Sequence[BatchRequest]) -> dict:
     if len(requests) > len(order):
         plan["omitted"] = len(requests) - len(order)
     return plan
-
-
-def _cache_outcome(
-    cache: ResultCache | None, hits_before: int, misses_before: int
-) -> str | None:
-    """Classify one request's cache interaction from counter deltas."""
-    if cache is None:
-        return None
-    if cache.hits > hits_before:
-        return "hit"
-    if cache.misses > misses_before:
-        return "miss"
-    return None
 
 
 class BatchExecutor:
@@ -455,40 +460,16 @@ class BatchExecutor:
         cache = ctx.cache
         hits_before = cache.hits if cache is not None else 0
         misses_before = cache.misses if cache is not None else 0
-        series = window_series()
-        if series is None:
-            lines = tuple(
-                _run_one(
-                    request.index, request.op, request.args, ctx
-                )
-                for request in requests
+        lines = tuple(
+            _run_one(
+                request.index,
+                request.op,
+                request.args,
+                ctx,
+                request.error,
             )
-        else:
-            collected: list[dict] = []
-            for request in requests:
-                run_hits = cache.hits if cache is not None else 0
-                run_misses = (
-                    cache.misses if cache is not None else 0
-                )
-                started = time.perf_counter()
-                line = _run_one(
-                    request.index, request.op, request.args, ctx
-                )
-                elapsed = time.perf_counter() - started
-                collected.append(line)
-                series.observe(
-                    RequestSample(
-                        ok=line["ok"],
-                        latency=elapsed,
-                        queue_depth=0,
-                        busy_workers=1,
-                        workers=1,
-                        cache=_cache_outcome(
-                            cache, run_hits, run_misses
-                        ),
-                    )
-                )
-            lines = tuple(collected)
+            for request in requests
+        )
         stats = None
         if cache is not None:
             stats = _stats_delta(cache, hits_before, misses_before)
@@ -521,12 +502,12 @@ class BatchExecutor:
 
         A request stays **local** (served by the coordinator at its
         drain position, without touching the pool) when it cannot be
-        dispatched at all — unknown or non-batchable op, malformed
-        pure-op arguments — or when it is a pure request whose
-        content address is already in the shared cache *or* already
-        scheduled on an earlier chunk of this run: the ordered drain
-        guarantees the earlier chunk's results merge in before the
-        duplicate is served. Everything else lands in chunk order on
+        dispatched at all — malformed line, unknown or non-batchable
+        op, malformed pure-op arguments — or when it is a pure
+        request whose content address is already in the shared cache
+        *or* already scheduled on an earlier chunk of this run: the
+        ordered drain guarantees the earlier chunk's results merge in
+        before the duplicate is served. Everything else lands in chunk order on
         the pool.
         """
         cache = ctx.cache
@@ -534,7 +515,9 @@ class BatchExecutor:
         pooled: list[tuple] = []
         scheduled: set[str] = set()
         for request in requests:
-            operation = operations.get(request.op)
+            operation = (
+                None if request.error else operations.get(request.op)
+            )
             local = operation is None
             if not local and cache is not None and operation.pure:
                 try:
@@ -578,22 +561,18 @@ class BatchExecutor:
         worker_hits = 0
         worker_misses = 0
         lines: list[dict] = []
-        series = window_series()
         for request, local in plan:
-            # Pool-served requests keep latency and cache outcome None:
-            # their latencies live in the worker span records (a
-            # drain-time measurement would charge queue wait to the
-            # request), their cache outcomes in the worker counters.
-            latency = outcome = None
+            # Local requests run here at their drain position; pooled
+            # ones were run by a worker, whose audit bracket replays
+            # from its shard — either way the chain is input-ordered.
             if local:
-                local_hits = cache.hits if cache is not None else 0
-                local_misses = cache.misses if cache is not None else 0
-                started = time.perf_counter()
                 line = _run_one(
-                    request.index, request.op, request.args, ctx
+                    request.index,
+                    request.op,
+                    request.args,
+                    ctx,
+                    request.error,
                 )
-                latency = time.perf_counter() - started
-                outcome = _cache_outcome(cache, local_hits, local_misses)
             else:
                 if result is None or position == len(result.lines):
                     result, position = next(results), 0
@@ -607,19 +586,6 @@ class BatchExecutor:
                 line = result.lines[position]
                 position += 1
             lines.append(line)
-            if series is not None:
-                series.observe(
-                    RequestSample(
-                        ok=line["ok"],
-                        latency=latency,
-                        queue_depth=results.in_flight,
-                        busy_workers=min(
-                            results.in_flight, self.workers
-                        ),
-                        workers=self.workers,
-                        cache=outcome,
-                    )
-                )
         stats = None
         if cache is not None:
             coordinator = _stats_delta(
@@ -655,31 +621,28 @@ def _run_batch(request: dict, ctx: RunContext) -> OpResponse:
             capacity=request["flight_capacity"],
             dump_dir=request["flight_dir"],
         )
-    observability = None
-    if request["audit_log"] is not None:
-        observer = ctx.make_observer(request["audit_log"]).attach(
-            flight=recorder
-        )
-        with observed(observer):
-            try:
-                result = executor.run(requests)
-            finally:
-                observer.trail.close()
-        verification = observer.trail.verify()
-        observability = {
-            "audit_events": len(observer.trail),
-            "audit_log": str(observer.trail.path),
-            "chain_intact": verification.ok,
-            "tail_digest": observer.trail.tail_digest,
-        }
+    audit_log = request["audit_log"]
+    if audit_log is not None:
+        observer = ctx.make_observer(audit_log)
     elif recorder is not None:
-        with observed(Observer(flight=recorder)):
-            result = executor.run(requests)
+        observer = Observer()
     else:
-        result = executor.run(requests)
+        observer = get_observer()
+    with observed(observer.attach(flight=recorder)):
+        try:
+            result = executor.run(requests)
+        finally:
+            if audit_log is not None:
+                observer.trail.close()
     payload = dict(result.summary)
-    if observability is not None:
-        payload["observability"] = observability
+    if audit_log is not None:
+        trail = observer.trail
+        payload["observability"] = {
+            "audit_events": len(trail),
+            "audit_log": str(trail.path),
+            "chain_intact": trail.verify().ok,
+            "tail_digest": trail.tail_digest,
+        }
     if recorder is not None:
         payload["flight"] = {
             "capacity": recorder.capacity,

@@ -577,8 +577,17 @@ class LintEngine:
         stale: list[str],
         workers: int,
     ) -> list[tuple[str, list[Finding]]]:
-        """Fan per-module linting of *stale* out to a process pool."""
+        """Fan per-module linting of *stale* out to a process pool.
+
+        Chunks drain through the shared ordered fan-out
+        (:class:`~repro.fanout.OrderedFanout`), imported here so a
+        serial lint never loads it. A dead worker surfaces as
+        :class:`StaticCheckError` naming the lost chunk, after one
+        ``staticcheck/worker-lost`` audit event and flight incident.
+        """
         import concurrent.futures
+
+        from ..fanout import OrderedFanout, worker_lost
 
         rule_ids = self.registry.rule_ids
         chunks: list[list[tuple[str, str, str]]] = [
@@ -593,12 +602,19 @@ class LintEngine:
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=len(chunks)
         ) as pool:
-            futures = [
-                pool.submit(_lint_chunk, rule_ids, chunk)
-                for chunk in chunks
-            ]
-            for future in futures:
-                results.extend(future.result())
+            for found in OrderedFanout(
+                lambda item: pool.submit(_lint_chunk, rule_ids, item[1]),
+                enumerate(chunks),
+                workers=len(chunks),
+                lost=lambda item, exc: worker_lost(
+                    "staticcheck",
+                    f"chunk {item[0]}",
+                    exc,
+                    workers=len(chunks),
+                    error=StaticCheckError,
+                ),
+            ):
+                results.extend(found)
         return results
 
 

@@ -3,7 +3,7 @@
 The warm batch pool (``ops/pool.py``), the pipeline
 (``pipeline/core.py``) and the parallel lint itself
 (``staticcheck/engine.py``) ship work to ``ProcessPoolExecutor``
-workers; the first two share one ordered fan-out
+workers; all three share one ordered fan-out
 (:mod:`repro.fanout`) but keep their submission calls beside the
 executors they build, where this rule can see them. Everything that
 crosses that boundary is pickled, and the failure modes are nasty

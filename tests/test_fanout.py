@@ -78,8 +78,8 @@ class TestOrderAndWindow:
             pool.submit, iter(range(50)), workers=2, lost=_lost([])
         )
         seen = []
-        for _ in fanout:
-            seen.append(fanout.in_flight)
+        for drained, _ in enumerate(fanout, start=1):
+            seen.append(len(pool.submitted) - drained)
         assert max(seen) == fanout.window == 2 * IN_FLIGHT_PER_WORKER
         assert seen[-1] == 0
 

@@ -66,9 +66,19 @@ class TestLoadRequests:
     ):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"op": "stats"}\n' + line + "\n")
-        with pytest.raises(BatchError) as excinfo:
-            load_requests(path)
-        message = str(excinfo.value)
+        first, failed = BatchExecutor().run(load_requests(path)).lines
+        assert first["ok"]
+        # The same line shape as an unknown op's failure.
+        assert failed == {
+            "error": failed["error"],
+            "error_type": "BatchError",
+            "exit_code": 2,
+            "index": 1,
+            "ok": False,
+            "op": "stats" if '"op": "stats"' in line else None,
+        }
+        message = failed["error"]
+        assert message.startswith(f"{path}:2: ")
         assert ":2:" in message
         assert fragment in message
 

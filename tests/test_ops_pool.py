@@ -256,6 +256,46 @@ class TestFailFastValidation:
         serial = BatchExecutor(workers=1).run(load_requests(path))
         assert result.text() == serial.text()
 
+    def test_malformed_line_mid_file_fails_in_place(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+        from repro.observability import load_events
+
+        path = tmp_path / "r.jsonl"
+        path.write_text(
+            '{"op": "stats"}\n'
+            '{"op": "legend"}\n'
+            "not json\n"
+            '{"op": "legend", "args": []}\n'
+            '{"op": "intervals"}\n'
+            '{"op": "stats"}\n'
+        )
+        transcripts, chains = [], []
+        for workers in ("1", "2"):
+            log = tmp_path / f"audit-{workers}.jsonl"
+            argv = ["batch", str(path), "--workers", workers]
+            argv += ["--chunk-size", "1", "--audit-log", str(log)]
+            assert main(argv) == 1
+            transcripts.append(capsys.readouterr().out)
+            chains.append(
+                [
+                    (event.action, event.subject, event.detail)
+                    for event in load_events(log)
+                    if event.action.startswith("request-")
+                ]
+            )
+        assert transcripts[0] == transcripts[1]
+        assert chains[0] == chains[1]
+        lines = [json.loads(text) for text in transcripts[0].splitlines()]
+        assert [line["ok"] for line in lines] == [
+            True, True, False, False, True, True,
+        ]
+        assert [line["op"] for line in lines[2:4]] == [None, "legend"]
+        assert [action for action, _, _ in chains[0]].count(
+            "request-failed"
+        ) == 2
+
 
 def _crash_worker(chunk, telemetry, use_cache):
     """A worker entry that dies without cleanup (test double)."""
@@ -377,6 +417,7 @@ class TestStaticcheckOverPool:
         [
             ("ops/pool.py", "_execute_chunk"),
             ("pipeline/core.py", "_pool_apply"),
+            ("staticcheck/engine.py", "_lint_chunk"),
         ],
     )
     def test_r9_flags_a_lambda_at_each_submission_site(
@@ -426,6 +467,9 @@ class TestStreamingLoadRequests:
     def test_line_numbers_survive_streaming(self, tmp_path):
         path = tmp_path / "r.jsonl"
         path.write_text('{"op": "stats"}\n\nnot json\n')
-        with pytest.raises(BatchError) as excinfo:
-            load_requests(path)
-        assert ":3:" in str(excinfo.value)
+        requests = load_requests(path)
+        assert [r.index for r in requests] == [0, 1]
+        failed = BatchExecutor().run(requests).lines[1]
+        assert not failed["ok"]
+        assert failed["error_type"] == "BatchError"
+        assert ":3:" in failed["error"]

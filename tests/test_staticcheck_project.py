@@ -9,6 +9,8 @@ sees.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -457,6 +459,59 @@ class TestParallelLint:
         parallel = lint_tree(tmp_path, select=(), workers=2)
         assert render_json(serial) == render_json(parallel)
         assert len(serial) == 6
+
+
+def _crash_lint(rule_ids, chunk):
+    """A lint worker entry that dies without cleanup (test double)."""
+    os._exit(13)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the crash double reaches workers via fork inheritance",
+)
+class TestParallelLintWorkerLoss:
+    """A dead lint worker is reported once, as a batch worker is."""
+
+    def test_loss_is_one_event_one_incident_one_error(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.errors import StaticCheckError
+        from repro.observability import (
+            FlightRecorder,
+            Observer,
+            load_events,
+            observed,
+        )
+        from repro.staticcheck import engine
+
+        monkeypatch.setattr(engine, "_lint_chunk", _crash_lint)
+        build_tree(
+            tmp_path,
+            {f"datasets/mod_{i}.py": "X = 1\n" for i in range(4)},
+        )
+        log = tmp_path / "audit.jsonl"
+        recorder = FlightRecorder(capacity=32)
+        observer = Observer.recording(log).attach(flight=recorder)
+        with observed(observer):
+            with pytest.raises(StaticCheckError) as excinfo:
+                lint_tree(tmp_path, select=(), workers=2)
+        observer.trail.close()
+        assert "worker process lost while running chunk 0" in str(
+            excinfo.value
+        )
+        lost = [
+            event
+            for event in load_events(log)
+            if event.action == "worker-lost"
+        ]
+        assert [(e.category, e.detail["span"]) for e in lost] == [
+            ("staticcheck", "chunk 0")
+        ]
+        assert [b.kind for b in recorder.incidents] == ["worker-lost"]
+        assert "BrokenProcessPool" in (
+            recorder.incidents[0].envelope["reason"]
+        )
 
 
 class TestBaselineStaleSwitch:
