@@ -23,8 +23,9 @@ monolith. ``repro.ops`` extracts the service layer the paper's
 * :mod:`~repro.ops.failures` — the single domain-error →
   exit-code table (:func:`describe_failure`);
 * :mod:`~repro.ops.pool` — the :class:`WarmPool`: a process-
-  lifetime pool of pre-forked, pre-warmed workers with a shared
-  coordinator-side result cache that learns from every worker;
+  lifetime pool of pre-forked, pre-warmed, cache-less workers and
+  the one coordinator-side result cache that learns from all of
+  them;
 * :mod:`~repro.ops.batch` — the JSONL :class:`BatchExecutor` with
   cache-aware chunked fan-out over the warm pool, per-request audit
   events and in-order telemetry replay.

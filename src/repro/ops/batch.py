@@ -13,17 +13,20 @@ a batch run is a verifiable transcript of serial CLI invocations.
 The parallel path is **cache-aware** and **chunked** (see
 :mod:`repro.ops.pool`): the coordinator validates every distinct
 operation once up front (an unknown op never spins up a worker),
-serves pure requests whose content address is already in its shared
-:class:`~repro.ops.cache.ResultCache` without touching the pool,
-groups the rest into contiguous per-worker chunks, drains them in
-order (a lost worker is a :class:`~repro.errors.BatchError` naming
-the lost requests), and folds the ``(key, response)`` pairs each
-chunk computed back into the shared cache — so a pure result
-computed by worker A is a coordinator hit for worker B's identical
-request. With ``warm=True`` the pool, the coordinator context and
-the shared cache all persist across batch runs, which is what turns
-the old cold-start inversion (402 req/s at 4 workers vs 2802
-serial) into a strict win.
+serves pure requests whose content address is already in the pool's
+one :class:`~repro.ops.cache.ResultCache` — or already scheduled
+earlier in the run — without touching the pool, groups the rest into
+contiguous per-worker chunks, drains them in order (a lost worker is
+a :class:`~repro.errors.BatchError` naming the lost requests), and
+folds each pure result a worker returns into the cache at its input
+position, rebuilt from the response line
+(:meth:`~repro.ops.spec.OpResponse.from_dict`) — so the cache evolves
+exactly as a serial run's would, and a pure result computed by
+worker A is a coordinator hit for worker B's identical request.
+Workers hold no cache of their own. With ``warm=True`` the pool, the
+coordinator context and the cache all persist across batch runs,
+which is what turns the old cold-start inversion (402 req/s at 4
+workers vs 2802 serial) into a strict win.
 
 Observability mirrors the pipeline's cross-process design: when the
 coordinator runs an enabled observer, each worker request executes
@@ -253,41 +256,30 @@ def _run_one(
         index=index,
         exit_code=response.exit_code,
     )
-    return {
-        "exit_code": response.exit_code,
-        "index": index,
-        "ok": response.exit_code == 0,
-        "op": name,
-        "output": response.text,
-        "payload": dict(response.payload),
-    }
+    return {"index": index, "op": name, **response.to_dict()}
 
 
-#: Worker-process persistent contexts, keyed by cache enablement.
-_WORKER_CONTEXTS: dict[bool, RunContext] = {}
+#: The worker process's persistent context, built on first use. It
+#: holds no result cache: the coordinator dedups every pure request
+#: against the pool's cache before dispatch, so a worker never
+#: sees a repeat within a run.
+_WORKER_CONTEXT: RunContext | None = None
 
 
-def _worker_context(use_cache: bool) -> RunContext:
+def _worker_context() -> RunContext:
     """The process-local persistent context for batch workers."""
-    ctx = _WORKER_CONTEXTS.get(use_cache)
-    if ctx is None:
-        ctx = RunContext(
-            cache=ResultCache() if use_cache else None
-        )
-        _WORKER_CONTEXTS[use_cache] = ctx
-    return ctx
+    global _WORKER_CONTEXT
+    if _WORKER_CONTEXT is None:
+        _WORKER_CONTEXT = RunContext()
+    return _WORKER_CONTEXT
 
 
-def _stats_delta(
-    cache: ResultCache, hits_before: int, misses_before: int
-) -> dict:
+def _stats_delta(cache: ResultCache, before: dict) -> dict:
     """This run's slice of a possibly long-lived cache's counters."""
-    return {
-        "entries": len(cache),
-        "hits": cache.hits - hits_before,
-        "maxsize": cache.maxsize,
-        "misses": cache.misses - misses_before,
-    }
+    stats = cache.stats()
+    for counter in ("hits", "misses"):
+        stats[counter] -= before[counter]
+    return stats
 
 
 #: Requests listed verbatim in a flight-recorded logical plan before
@@ -331,9 +323,9 @@ class BatchExecutor:
     more workers fan requests out over a pool of pre-warmed worker
     processes (:class:`~repro.ops.pool.WarmPool`) in contiguous
     chunks, with cache-aware dispatch: pure requests whose content
-    address is already in the coordinator's shared cache never reach
-    the pool, and every chunk ships the pure results it computed
-    back for the coordinator to learn from. Results — and telemetry
+    address is already in the coordinator's cache never reach the
+    pool, and the coordinator folds each pure result a worker
+    returns into that cache. Results — and telemetry
     shards — drain strictly in input order, so the JSONL transcript
     and the audit-chain content are invariant under the worker
     count, the chunk size and the dispatch plan.
@@ -379,13 +371,24 @@ class BatchExecutor:
             workers=self.workers,
         )
         operations = _resolve_operations(requests)
+        pool = self._pool()
+        ctx = (
+            pool.context
+            if pool is not None
+            else RunContext(
+                cache=ResultCache() if self.use_cache else None
+            )
+        )
+        cache = ctx.cache
+        before = cache.stats() if cache is not None else None
         try:
             if self.workers == 1:
-                lines, cache_stats = self._run_serial(requests)
-            else:
-                lines, cache_stats = self._run_parallel(
-                    requests, operations
+                lines = tuple(
+                    _run_one(r.index, r.op, r.args, ctx, r.error)
+                    for r in requests
                 )
+            else:
+                lines = self._dispatch(pool, requests, operations)
         except ReproError as exc:
             # Dump the ring unless a deeper layer (the warm pool's
             # worker-lost path) already captured this failure — one
@@ -400,6 +403,9 @@ class BatchExecutor:
                     workers=self.workers,
                 )
             raise
+        finally:
+            if pool is not None and not self.warm:
+                pool.shutdown()
         ok = sum(1 for line in lines if line["ok"])
         failed = len(lines) - ok
         if recorder is not None:
@@ -430,13 +436,13 @@ class BatchExecutor:
                 "enabled": self.use_cache,
                 "scope": self._cache_scope(),
             },
-            "failed": len(lines) - ok,
+            "failed": failed,
             "ok": ok,
             "requests": len(requests),
             "workers": self.workers,
         }
-        if cache_stats is not None:
-            summary["cache"].update(cache_stats)
+        if cache is not None:
+            summary["cache"].update(_stats_delta(cache, before))
         return BatchResult(lines=lines, summary=summary)
 
     def _cache_scope(self) -> str:
@@ -445,73 +451,39 @@ class BatchExecutor:
             return "warm" if self.warm else "run"
         return "shared-warm" if self.warm else "shared-run"
 
-    def _run_serial(
-        self, requests: Sequence[BatchRequest]
-    ) -> tuple[tuple[dict, ...], dict | None]:
-        """Inline execution under the installed observer."""
-        if self.warm:
-            # The workers=1 warm pool never spawns a process; it is
-            # purely the persistent coordinator context + cache.
-            ctx = warm_pool(1, self.use_cache).context
-        else:
-            ctx = RunContext(
-                cache=ResultCache() if self.use_cache else None
-            )
-        cache = ctx.cache
-        hits_before = cache.hits if cache is not None else 0
-        misses_before = cache.misses if cache is not None else 0
-        lines = tuple(
-            _run_one(
-                request.index,
-                request.op,
-                request.args,
-                ctx,
-                request.error,
-            )
-            for request in requests
-        )
-        stats = None
-        if cache is not None:
-            stats = _stats_delta(cache, hits_before, misses_before)
-        return lines, stats
+    def _pool(self) -> WarmPool | None:
+        """The pool this run uses; ``None`` for a one-shot serial run.
 
-    def _run_parallel(
-        self,
-        requests: Sequence[BatchRequest],
-        operations: dict[str, Operation],
-    ) -> tuple[tuple[dict, ...], dict | None]:
-        """Cache-aware, chunked fan-out with strict in-order drain."""
-        pool = (
-            warm_pool(self.workers, self.use_cache)
-            if self.warm
-            else WarmPool(self.workers, use_cache=self.use_cache)
-        )
-        try:
-            return self._dispatch(pool, requests, operations)
-        finally:
-            if not self.warm:
-                pool.shutdown()
+        The workers=1 warm pool never spawns a process; it is purely
+        the persistent coordinator context + cache.
+        """
+        if self.warm:
+            return warm_pool(self.workers, self.use_cache)
+        if self.workers == 1:
+            return None
+        return WarmPool(self.workers, use_cache=self.use_cache)
 
     def _plan(
         self,
         requests: Sequence[BatchRequest],
         operations: dict[str, Operation],
         ctx: RunContext,
-    ) -> tuple[list[tuple[BatchRequest, bool]], list[tuple]]:
+    ) -> tuple[list[tuple[BatchRequest, bool, str | None]], list[tuple]]:
         """Mark each request local or pooled; chunk the pooled ones.
 
         A request stays **local** (served by the coordinator at its
         drain position, without touching the pool) when it cannot be
         dispatched at all — malformed line, unknown or non-batchable
         op, malformed pure-op arguments — or when it is a pure
-        request whose content address is already in the shared cache
-        *or* already scheduled on an earlier chunk of this run: the
-        ordered drain guarantees the earlier chunk's results merge in
-        before the duplicate is served. Everything else lands in chunk order on
-        the pool.
+        request whose content address is already in the cache *or*
+        already scheduled earlier in this run: the ordered drain
+        folds the earlier result in before the duplicate is served.
+        Everything else lands in chunk order on the pool, and each
+        pooled pure request carries its cache key so the drain can
+        fold the worker's result in under it.
         """
         cache = ctx.cache
-        plan: list[tuple[BatchRequest, bool]] = []
+        plan: list[tuple[BatchRequest, bool, str | None]] = []
         pooled: list[tuple] = []
         scheduled: set[str] = set()
         for request in requests:
@@ -519,6 +491,7 @@ class BatchExecutor:
                 None if request.error else operations.get(request.op)
             )
             local = operation is None
+            key = None
             if not local and cache is not None and operation.pure:
                 try:
                     built = build_request(operation, request.args)
@@ -530,7 +503,11 @@ class BatchExecutor:
                     key = cache_key(operation.name, built, digest)
                     local = key in cache or key in scheduled
                     scheduled.add(key)
-            plan.append((request, local))
+                    if not local:
+                        # A dispatched request is a miss of this
+                        # cache, counted where the lookup happens.
+                        cache.get(key)
+            plan.append((request, local, key))
             if not local:
                 pooled.append((request.index, request.op, request.args))
         size = self.chunk_size or auto_chunk_size(
@@ -547,21 +524,16 @@ class BatchExecutor:
         pool: WarmPool,
         requests: Sequence[BatchRequest],
         operations: dict[str, Operation],
-    ) -> tuple[tuple[dict, ...], dict | None]:
+    ) -> tuple[dict, ...]:
         """Run the dispatch plan; drain strictly in input order."""
         telemetry = get_observer().enabled
         ctx = pool.context
-        cache = pool.cache
-        hits_before = cache.hits if cache is not None else 0
-        misses_before = cache.misses if cache is not None else 0
         plan, chunks = self._plan(requests, operations, ctx)
         results = pool.fanout(chunks, telemetry)
         result = None
         position = 0
-        worker_hits = 0
-        worker_misses = 0
         lines: list[dict] = []
-        for request, local in plan:
+        for request, local, key in plan:
             # Local requests run here at their drain position; pooled
             # ones were run by a worker, whose audit bracket replays
             # from its shard — either way the chain is input-ordered.
@@ -576,32 +548,17 @@ class BatchExecutor:
             else:
                 if result is None or position == len(result.lines):
                     result, position = next(results), 0
-                    if cache is not None:
-                        cache.merge(result.pairs)
-                    worker_hits += result.hits
-                    worker_misses += result.misses
                 shard = result.shards[position]
                 if shard is not None:
                     replay_shard(shard)
                 line = result.lines[position]
                 position += 1
+                if key is not None and "output" in line:
+                    # Folded in at its input position, as a serial
+                    # run's put: the cache evolves exactly as serial.
+                    ctx.cache.merge([(key, OpResponse.from_dict(line))])
             lines.append(line)
-        stats = None
-        if cache is not None:
-            coordinator = _stats_delta(
-                cache, hits_before, misses_before
-            )
-            stats = {
-                "coordinator": coordinator,
-                "entries": coordinator["entries"],
-                "hits": coordinator["hits"] + worker_hits,
-                "misses": coordinator["misses"] + worker_misses,
-                "workers": {
-                    "hits": worker_hits,
-                    "misses": worker_misses,
-                },
-            }
-        return tuple(lines), stats
+        return tuple(lines)
 
 
 def _run_batch(request: dict, ctx: RunContext) -> OpResponse:

@@ -14,14 +14,13 @@ summaries and the E17 benchmark) and as ``ops.cache.hits`` /
 an observed run exports cache effectiveness alongside every other
 metric.
 
-Entries are **exportable and mergeable**: a batch worker exports the
-``(key, response)`` pairs it computed (:meth:`ResultCache.export`)
-and ships them back with its chunk result, and the coordinator folds
-them into its own cache (:meth:`ResultCache.merge`) — the shared-
-cache protocol the warm pool (:mod:`repro.ops.pool`) is built on.
-:meth:`ResultCache.peek` and ``key in cache`` probe without touching
-the hit/miss counters, so dispatch planning never skews the stats a
-batch summary reports.
+A parallel batch keeps one cache, on the coordinator (the warm
+pool's, :mod:`repro.ops.pool`). Workers compute without a cache; the
+coordinator counts each dispatched pure request as a miss when it
+plans the dispatch, and folds the result the worker returns in with
+:meth:`ResultCache.merge`, which moves no counter. ``key in cache``
+probes without counting too, so dispatch planning never skews the
+stats a batch summary reports.
 """
 
 from __future__ import annotations
@@ -92,23 +91,6 @@ class ResultCache:
         ):
             self._entries.popitem(last=False)
         self._entries[key] = response
-
-    def peek(self, key: str) -> OpResponse | None:
-        """The entry for *key* without counting a hit or miss.
-
-        Dispatch planning and worker-side export probe the cache
-        many times per request; only :meth:`get` — the serving path —
-        may move the counters the batch summary reports.
-        """
-        return self._entries.get(key)
-
-    def export(self) -> tuple[tuple[str, OpResponse], ...]:
-        """Every entry as picklable ``(key, response)`` pairs.
-
-        The shipping format of the shared-cache protocol: both sides
-        of the process boundary exchange entries in this shape.
-        """
-        return tuple(self._entries.items())
 
     def merge(
         self, entries: Iterable[tuple[str, OpResponse]]

@@ -4,26 +4,26 @@
 removes: a 24-request batch ran at 402 req/s with ``workers=4``
 against 2802 req/s serial, because every parallel batch paid full
 process-pool startup and each worker rebuilt its
-:class:`~repro.ops.context.RunContext` — corpus, content digest and
-result cache — from nothing. A :class:`WarmPool` pays those costs
-once per *process lifetime* instead of once per *batch run*:
+:class:`~repro.ops.context.RunContext` — corpus and content digest —
+from nothing. A :class:`WarmPool` pays those costs once per
+*process lifetime* instead of once per *batch run*:
 
 * **Pre-forked, pre-warmed workers.** The pool's
   ``ProcessPoolExecutor`` is built lazily on first submission (a
   batch of invalid requests never spawns a process) and each worker
   runs :func:`_warm_worker` at startup: the operation registry is
-  assembled, the per-process :class:`RunContext` is constructed and
-  its corpus + BLAKE2b content digest materialised, and the worker's
-  :class:`~repro.ops.cache.ResultCache` is primed — so the first
-  real request a worker sees costs only the request.
-* **A shared coordinator cache.** The pool owns a coordinator-side
-  :class:`~repro.ops.cache.ResultCache` and the coordinator
-  :class:`RunContext` wrapping it; both persist across batch runs.
-  Workers ship the ``(key, response)`` pairs they computed back with
-  every chunk (:class:`ChunkResult`), the coordinator merges them,
-  and the batch executor serves later identical pure requests
-  without touching the pool at all — the per-worker cache islands
-  become one content-addressed cache that learns from every worker.
+  assembled and the per-process :class:`RunContext` is constructed
+  with its corpus + BLAKE2b content digest materialised — so the
+  first real request a worker sees costs only the request.
+* **One result cache, on the coordinator.** The pool owns the
+  coordinator-side :class:`~repro.ops.cache.ResultCache` and the
+  coordinator :class:`RunContext` wrapping it; both persist across
+  batch runs. Workers hold no cache: the batch executor dedups every
+  pure request against this cache (and against earlier chunks of
+  the run) before dispatch, so a worker never sees a repeat, and it
+  folds each pure result a worker returns into this cache from the
+  response line itself (:class:`ChunkResult` carries only lines and
+  telemetry shards).
 * **Chunked submission.** Requests cross the pickle/IPC boundary in
   contiguous chunks (:func:`auto_chunk_size` targets ~4 chunks per
   worker, capped so a chunk never grows unbounded), amortising the
@@ -39,15 +39,15 @@ once per *process lifetime* instead of once per *batch run*:
 Pools are keyed by ``(workers, cache enablement)`` in a module-level
 registry (:func:`warm_pool`); :func:`shutdown_warm_pools` tears all
 of them down (tests and benchmarks use it for isolation), and the
-first pool creation registers an ``atexit`` teardown — opt out with
-:func:`set_atexit_shutdown` — so a long-lived session never leaks
-pre-forked workers. :meth:`WarmPool.health` is the liveness/
-readiness report (live workers, rebuilds, cache counters, optional
-probe round-trip) behind ``repro-ethics obs health``. Work reaches
-the executor at one submission site, :meth:`WarmPool.submit_chunk`,
-where staticcheck rule R9 (worker-safety) checks the submitted
-callable: a module-level function, not a lambda, nested function or
-bound method, with no mutable default and no lambda argument.
+first pool creation registers it as an ``atexit`` hook, so a
+long-lived session never leaks pre-forked workers.
+:meth:`WarmPool.health` is the liveness/readiness report (live
+workers, rebuilds, cache counters, optional probe round-trip) behind
+``repro-ethics obs health``. Work reaches the executor at one
+submission site, :meth:`WarmPool.submit_chunk`, where staticcheck
+rule R9 (worker-safety) checks the submitted callable: a
+module-level function, not a lambda, nested function or bound
+method, with no mutable default and no lambda argument.
 """
 
 from __future__ import annotations
@@ -59,16 +59,14 @@ from collections.abc import Iterable
 from ..errors import BatchError
 from ..fanout import OrderedFanout, worker_lost
 from ..observability.worker import TelemetryShard, WorkerTelemetry
-from .cache import ResultCache, cache_key
+from .cache import ResultCache
 from .context import RunContext
-from .spec import build_request
 
 __all__ = [
     "ChunkResult",
     "WarmPool",
     "active_pools",
     "auto_chunk_size",
-    "set_atexit_shutdown",
     "shutdown_warm_pools",
     "warm_pool",
 ]
@@ -101,22 +99,14 @@ class ChunkResult:
 
     ``lines`` are the response line bodies in chunk order;
     ``shards`` is the parallel tuple of per-request telemetry
-    captures (``None`` when the coordinator's observer is disabled);
-    ``pairs`` are the content-addressed ``(key, response)`` entries
-    for pure operations this chunk computed, ready to merge into the
-    coordinator cache; ``hits``/``misses`` are the worker-cache
-    counter deltas this chunk incurred, aggregated into the batch
-    summary.
+    captures (``None`` when the coordinator's observer is disabled).
     """
 
     lines: tuple[dict, ...]
     shards: tuple[WorkerTelemetry | None, ...]
-    pairs: tuple[tuple[str, object], ...] = ()
-    hits: int = 0
-    misses: int = 0
 
 
-def _warm_worker(use_cache: bool) -> None:
+def _warm_worker() -> None:
     """Pool initializer: build and warm the per-process state.
 
     Runs once in every worker at spawn time, before any request:
@@ -130,12 +120,10 @@ def _warm_worker(use_cache: bool) -> None:
     from .catalog import default_registry
 
     default_registry()
-    _worker_context(use_cache).warm_up()
+    _worker_context().warm_up()
 
 
-def _execute_chunk(
-    chunk: tuple, telemetry: bool, use_cache: bool
-) -> ChunkResult:
+def _execute_chunk(chunk: tuple, telemetry: bool) -> ChunkResult:
     """Worker-side entry point: run one contiguous request chunk.
 
     *chunk* is a tuple of ``(index, op, args)`` triples. Each
@@ -143,76 +131,44 @@ def _execute_chunk(
     path a serial run uses, under its own
     :class:`~repro.observability.worker.TelemetryShard` when the
     coordinator observes, so per-request audit brackets replay in
-    exact submission order. Successful pure results are exported as
-    ``(key, response)`` pairs for the coordinator cache.
+    exact submission order.
     """
-    from .batch import _batchable_operation, _run_one, _worker_context
+    from .batch import _run_one, _worker_context
 
-    ctx = _worker_context(use_cache)
-    cache = ctx.cache
-    hits_before = cache.hits if cache is not None else 0
-    misses_before = cache.misses if cache is not None else 0
+    ctx = _worker_context()
     lines: list[dict] = []
     shards: list[WorkerTelemetry | None] = []
-    pairs: list[tuple[str, object]] = []
-    exported: set[str] = set()
     for index, name, values in chunk:
         if telemetry:
             with TelemetryShard() as shard:
-                line = _run_one(index, name, values, ctx)
+                lines.append(_run_one(index, name, values, ctx))
             shards.append(shard.telemetry())
         else:
-            line = _run_one(index, name, values, ctx)
+            lines.append(_run_one(index, name, values, ctx))
             shards.append(None)
-        lines.append(line)
-        if cache is None or not line["ok"]:
-            continue
-        operation = _batchable_operation(name)
-        if not operation.pure:
-            continue
-        built = build_request(operation, values)
-        key = cache_key(
-            operation.name,
-            built,
-            ctx.cache_digest(operation, built),
-        )
-        if key in exported:
-            continue
-        exported.add(key)
-        response = cache.peek(key)
-        if response is not None:
-            pairs.append((key, response))
-    return ChunkResult(
-        lines=tuple(lines),
-        shards=tuple(shards),
-        pairs=tuple(pairs),
-        hits=(cache.hits - hits_before) if cache is not None else 0,
-        misses=(
-            cache.misses - misses_before
-        ) if cache is not None else 0,
-    )
+    return ChunkResult(lines=tuple(lines), shards=tuple(shards))
 
 
 class WarmPool:
     """A lazily built, reusable pool of pre-warmed worker processes.
 
-    Owns the coordinator-side shared :class:`ResultCache` and the
-    coordinator :class:`RunContext` wrapping it — both survive
-    across batch runs, which is what makes a second batch on the
-    same pool free of every cold-start cost. The executor itself is
+    Owns the batch's one :class:`ResultCache`, on the coordinator
+    side, and the coordinator :class:`RunContext` wrapping it — both
+    survive across batch runs, which is what makes a second batch on
+    the same pool free of every cold-start cost. The executor itself is
     built on first submission and discarded (for lazy rebuild) when
     a worker is lost.
     """
 
     #: Coordinator caches outlive single runs; give them headroom
-    #: beyond the per-worker default so a service working set fits.
+    #: beyond the :class:`ResultCache` default so a service working
+    #: set fits.
     COORDINATOR_CACHE_SIZE = 1024
 
     def __init__(self, workers: int, use_cache: bool = True) -> None:
         if workers < 1:
             raise BatchError("workers must be at least 1")
         self.workers = workers
-        self.use_cache = use_cache
         self.cache = (
             ResultCache(maxsize=self.COORDINATOR_CACHE_SIZE)
             if use_cache
@@ -233,9 +189,7 @@ class WarmPool:
             from concurrent.futures import ProcessPoolExecutor
 
             executor = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_warm_worker,
-                initargs=(self.use_cache,),
+                max_workers=self.workers, initializer=_warm_worker
             )
             self._executor = executor
         return self._executor
@@ -268,9 +222,7 @@ class WarmPool:
     def submit_chunk(self, chunk: tuple, telemetry: bool):
         """Submit one ``(index, op, args)`` chunk; returns its future."""
         executor = self._ensure()
-        return executor.submit(
-            _execute_chunk, chunk, telemetry, self.use_cache
-        )
+        return executor.submit(_execute_chunk, chunk, telemetry)
 
     def outcome(self, future, chunk: tuple) -> ChunkResult:
         """Wait for one chunk's result: the coordinator's wait point."""
@@ -291,17 +243,10 @@ class WarmPool:
         raised, so a health endpoint cannot crash on the very
         condition it exists to report.
         """
-        cache = self.cache
         report: dict = {
             "cache": (
-                {
-                    "enabled": True,
-                    "entries": len(cache),
-                    "hits": cache.hits,
-                    "maxsize": cache.maxsize,
-                    "misses": cache.misses,
-                }
-                if cache is not None
+                {"enabled": True, **self.cache.stats()}
+                if self.cache is not None
                 else {"enabled": False}
             ),
             "context_warm": self.context.is_warm,
@@ -360,30 +305,10 @@ class WarmPool:
 #: Process-lifetime pool registry, keyed by (workers, cache on/off).
 _WARM_POOLS: dict[tuple[int, bool], WarmPool] = {}
 
-#: Exit-hook state: registered once per process, opt-out via
-#: :func:`set_atexit_shutdown`. A dict (not two globals) so the
-#: mutation sites stay the memo-idiom shape R8 recognises.
-_ATEXIT = {"enabled": True, "registered": False}
-
-
-def _atexit_shutdown() -> None:
-    """The exit hook: tear down pools unless the user opted out."""
-    if _ATEXIT["enabled"]:
-        shutdown_warm_pools()
-
-
-def set_atexit_shutdown(enabled: bool) -> bool:
-    """Opt in or out of the exit-time pool teardown; returns the
-    previous setting.
-
-    The hook is on by default so a long-lived session (REPL, server,
-    notebook) that touched ``warm_pool()`` does not leak pre-forked
-    worker processes past interpreter exit. Embedders that manage
-    pool lifetime themselves call ``set_atexit_shutdown(False)``.
-    """
-    previous = _ATEXIT["enabled"]
-    _ATEXIT["enabled"] = bool(enabled)
-    return previous
+#: Exit-hook state: registered once per process, on first pool
+#: creation. A dict (not a global) so the mutation site stays the
+#: memo-idiom shape R8 recognises.
+_ATEXIT = {"registered": False}
 
 
 def active_pools() -> tuple[WarmPool, ...]:
@@ -410,7 +335,7 @@ def warm_pool(workers: int, use_cache: bool = True) -> WarmPool:
             # the module costs nothing and the hook exists exactly
             # when there is something to clean up.
             _ATEXIT["registered"] = True
-            atexit.register(_atexit_shutdown)
+            atexit.register(shutdown_warm_pools)
         pool = WarmPool(workers, use_cache=use_cache)
         _WARM_POOLS[key] = pool
     return pool

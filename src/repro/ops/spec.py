@@ -150,6 +150,15 @@ class OpResponse:
             "payload": dict(self.payload),
         }
 
+    @classmethod
+    def from_dict(cls, line: Mapping) -> OpResponse:
+        """The response a :meth:`to_dict` line body was built from."""
+        return cls(
+            payload=dict(line["payload"]),
+            text=line["output"],
+            exit_code=line["exit_code"],
+        )
+
 
 @dataclasses.dataclass(frozen=True)
 class Operation:

@@ -25,8 +25,8 @@ process pool must be:
 * called with **no lambda arguments** (arguments are pickled too).
 
 Deliberately *not* flagged: reads and writes of module-level
-containers inside worker functions. Those are per-process by
-construction — ``_WORKER_CONTEXTS`` in the batch executor and
+state inside worker functions. It is per-process by
+construction — the ``_WORKER_CONTEXT`` memo in the batch executor and
 ``_RUNNER_CACHE`` in the pipeline exist precisely to keep expensive
 state resident per worker process, and the ordered fan-out both
 use makes worker-local state invisible in output bytes.

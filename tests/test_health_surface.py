@@ -11,7 +11,7 @@ Pins down the acceptance properties of the health subsystem:
 * a data-only SLO spec change flips ``obs slo`` from exit 0 to
   exit 1 without touching a line of code;
 * ``WarmPool.health`` reports liveness/readiness and the probe
-  round-trip, and the atexit shutdown hook is opt-out.
+  round-trip, and the atexit shutdown hook is registered lazily.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from __future__ import annotations
 import bisect
 import json
 import math
-import multiprocessing
-import os
 import random
 
 import pytest
@@ -47,6 +45,7 @@ from repro.observability import (
     windows_from_events,
 )
 from repro.ops import BatchExecutor, load_requests
+from tests.conftest import FORK_ONLY, crash_worker
 
 REQUEST_LINES = [
     {"op": "stats"},
@@ -560,18 +559,7 @@ class TestIncidentByteIdentity:
         assert "batch-finished" in out
 
 
-def _crash_worker(chunk, telemetry, use_cache):
-    """A worker entry that dies without cleanup (test double)."""
-    os._exit(13)
-
-
-_FORK_ONLY = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="the crash double reaches workers via fork inheritance",
-)
-
-
-@_FORK_ONLY
+@FORK_ONLY
 class TestWorkerLostIncident:
     def test_worker_loss_dumps_one_incident(
         self, requests_file, monkeypatch, tmp_path
@@ -579,7 +567,7 @@ class TestWorkerLostIncident:
         from repro.ops import pool as pool_module
 
         monkeypatch.setattr(
-            pool_module, "_execute_chunk", _crash_worker
+            pool_module, "_execute_chunk", crash_worker
         )
         dump_dir = tmp_path / "flight"
         recorder = FlightRecorder(capacity=32, dump_dir=dump_dir)
@@ -649,38 +637,6 @@ class TestWarmPoolHealth:
 
 
 class TestAtexitShutdown:
-    def test_toggle_returns_previous_state(self):
-        from repro.ops.pool import set_atexit_shutdown
-
-        previous = set_atexit_shutdown(False)
-        try:
-            assert previous is True
-            assert set_atexit_shutdown(False) is False
-        finally:
-            set_atexit_shutdown(True)
-
-    def test_disabled_hook_leaves_pools_alone(self):
-        from repro.ops import pool as pool_module
-        from repro.ops.pool import (
-            active_pools,
-            set_atexit_shutdown,
-            shutdown_warm_pools,
-            warm_pool,
-        )
-
-        try:
-            pool = warm_pool(1, False)
-            assert pool in active_pools()
-            set_atexit_shutdown(False)
-            pool_module._atexit_shutdown()
-            assert pool in active_pools()
-            set_atexit_shutdown(True)
-            pool_module._atexit_shutdown()
-            assert active_pools() == ()
-        finally:
-            set_atexit_shutdown(True)
-            shutdown_warm_pools()
-
     def test_hook_registered_lazily(self):
         from repro.ops import pool as pool_module
         from repro.ops.pool import (

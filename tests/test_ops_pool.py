@@ -3,9 +3,10 @@
 Covers the contracts the warm-pool subsystem adds on top of the
 batch executor: transcript byte-identity at any worker count with
 warm pools and chunked submission (including the all-cache-hit
-second run), the shared-cache protocol (a pure result computed by
-one worker is a coordinator hit for an identical later request),
-aggregated cache statistics, fail-fast validation that never spawns
+second run), the one coordinator cache (a pure result computed by
+one worker is a coordinator hit for an identical later request, and
+hit/miss counts equal serial's even when the cache evicts),
+fail-fast validation that never spawns
 a worker for an invalid batch, and the graceful-degradation path —
 a crashed worker maps to :class:`~repro.errors.BatchError` naming
 the failing request, and the pool rebuilds lazily on next use.
@@ -14,12 +15,11 @@ the failing request, and the pool rebuilds lazily on next use.
 from __future__ import annotations
 
 import json
-import multiprocessing
-import os
 
 import pytest
 
 from repro.errors import BatchError
+from repro.observability import MetricsRegistry, Observer, observed
 from repro.ops import (
     BatchExecutor,
     ResultCache,
@@ -30,6 +30,7 @@ from repro.ops import (
 )
 from repro.ops.pool import WarmPool
 from repro.ops.spec import OpResponse
+from tests.conftest import FORK_ONLY, crash_worker
 
 REQUEST_LINES = [
     {"op": "stats"},
@@ -89,32 +90,41 @@ class TestResultCacheProtocol:
     def _response(self, text: str) -> OpResponse:
         return OpResponse(payload={"value": text}, text=text)
 
-    def test_peek_and_contains_do_not_count(self):
+    def test_contains_does_not_count(self):
         cache = ResultCache()
         cache.put("k", self._response("v"))
         assert "k" in cache
-        assert cache.peek("k").text == "v"
-        assert cache.peek("absent") is None
         assert "absent" not in cache
         assert cache.hits == 0
         assert cache.misses == 0
+        # Only the serving path moves the counters.
+        assert cache.get("k").text == "v"
+        assert cache.get("absent") is None
+        assert (cache.hits, cache.misses) == (1, 1)
 
-    def test_export_merge_round_trip(self):
-        source = ResultCache()
-        source.put("a", self._response("A"))
-        source.put("b", self._response("B"))
+    def test_merge_round_trip(self):
         target = ResultCache()
-        assert target.merge(source.export()) == 2
-        assert target.peek("a").text == "A"
-        assert target.peek("b").text == "B"
+        entries = [
+            ("a", self._response("A")),
+            ("b", self._response("B")),
+        ]
+        assert target.merge(entries) == 2
         assert target.hits == 0 and target.misses == 0
+        assert target.get("a").text == "A"
+        assert target.get("b").text == "B"
 
     def test_merge_keeps_existing_entries(self):
         target = ResultCache()
         target.put("a", self._response("original"))
         merged = target.merge([("a", self._response("other"))])
         assert merged == 0
-        assert target.peek("a").text == "original"
+        assert target.get("a").text == "original"
+
+    def test_response_line_round_trip(self):
+        response = OpResponse(
+            payload={"value": [1, 2]}, text="out\n", exit_code=1
+        )
+        assert OpResponse.from_dict(response.to_dict()) == response
 
 
 class TestWarmChunkedTranscripts:
@@ -136,10 +146,9 @@ class TestWarmChunkedTranscripts:
         # change — the all-hit dispatch plan is still byte-identical.
         second = executor.run(requests)
         assert second.text() == serial.text()
-        assert second.summary["cache"]["workers"] == {
-            "hits": 0,
-            "misses": 0,
-        }
+        # A dispatched request is a miss: none was dispatched.
+        assert second.summary["cache"]["misses"] == 0
+        assert second.summary["cache"]["hits"] == len(requests)
 
     def test_chunked_no_cache_matches_serial(self, requests_file):
         requests = load_requests(requests_file)
@@ -174,10 +183,11 @@ class TestSharedCache:
         ).run(load_requests(path))
         cache = result.summary["cache"]
         assert cache["scope"] == "shared-warm"
-        assert cache["workers"]["misses"] == 2  # table1 + stats
-        assert cache["coordinator"]["hits"] == 1  # the duplicate
-        assert cache["hits"] == 1
-        assert cache["misses"] == 2
+        # Workers hold no cache, so the one hit is the coordinator
+        # serving the duplicate; each miss is a dispatched request.
+        assert cache["misses"] == 2  # table1 + stats
+        assert cache["hits"] == 1  # the duplicate
+        assert cache["entries"] == 2
 
     def test_parallel_stats_match_serial_totals(self, requests_file):
         """Satellite fix: parallel batches report cache stats again."""
@@ -201,8 +211,8 @@ class TestSharedCache:
         executor.run(requests)
         second = executor.run(requests)
         cache = second.summary["cache"]
-        assert cache["workers"] == {"hits": 0, "misses": 0}
-        assert cache["coordinator"]["hits"] > 0
+        assert cache["misses"] == 0
+        assert cache["hits"] == len(requests)
         assert second.summary["ok"] == len(requests)
 
     def test_warm_serial_reuses_cache_across_runs(
@@ -216,6 +226,75 @@ class TestSharedCache:
         assert second.summary["cache"]["misses"] == 0
         assert second.summary["cache"]["hits"] == len(requests)
         assert second.text() == first.text()
+
+    def test_coordinator_registry_counts_match_serial(
+        self, requests_file
+    ):
+        """Dispatched misses land in the coordinator's registry."""
+        requests = load_requests(requests_file)
+        counts = []
+        for workers in (1, 2):
+            registry = MetricsRegistry()
+            with observed(Observer(metrics=registry)):
+                BatchExecutor(workers=workers, chunk_size=1).run(
+                    requests
+                )
+            counters = registry.snapshot()["counters"]
+            counts.append(
+                (
+                    counters.get("ops.cache.hits", 0),
+                    counters.get("ops.cache.misses", 0),
+                )
+            )
+        assert counts[0] == counts[1] == (1, 5)
+
+
+#: Six distinct pure keys, two repeated, against a cache of three.
+EVICTING_LINES = [
+    {"op": "table1", "args": {"format": "csv"}},
+    {"op": "stats"},
+    {"op": "table1", "args": {"format": "csv"}},
+    {"op": "legend"},
+    {"op": "intervals"},
+    {"op": "evidence", "args": {"entry_id": "patreon"}},
+    {"op": "stats"},
+    {"op": "table1", "args": {"format": "markdown"}},
+    {"op": "legend"},
+]
+
+
+class TestEvictingCoordinatorCache:
+    @pytest.mark.parametrize("chunk_size", [1, 4, None])
+    def test_two_warm_runs_match_serial(
+        self, tmp_path, monkeypatch, chunk_size
+    ):
+        """A cache smaller than the key set: workers recompute.
+
+        Each run's transcript is byte-identical to serial's, and so
+        are its hit/miss totals: the coordinator folds each worker
+        result in at its input position, so the cache evicts in
+        serial order.
+        """
+        monkeypatch.setattr(WarmPool, "COORDINATOR_CACHE_SIZE", 3)
+        path = tmp_path / "r.jsonl"
+        path.write_text(
+            "".join(json.dumps(line) + "\n" for line in EVICTING_LINES)
+        )
+        requests = load_requests(path)
+        serial = BatchExecutor(workers=1, warm=True)
+        parallel = BatchExecutor(
+            workers=2, warm=True, chunk_size=chunk_size
+        )
+        for _ in range(2):
+            expected = serial.run(requests)
+            result = parallel.run(requests)
+            assert result.text() == expected.text()
+            for counter in ("entries", "hits", "maxsize", "misses"):
+                assert (
+                    result.summary["cache"][counter]
+                    == expected.summary["cache"][counter]
+                ), counter
+        assert expected.summary["cache"]["maxsize"] == 3
 
 
 class TestFailFastValidation:
@@ -297,18 +376,7 @@ class TestFailFastValidation:
         ) == 2
 
 
-def _crash_worker(chunk, telemetry, use_cache):
-    """A worker entry that dies without cleanup (test double)."""
-    os._exit(13)
-
-
-_FORK_ONLY = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="the crash double reaches workers via fork inheritance",
-)
-
-
-@_FORK_ONLY
+@FORK_ONLY
 class TestWorkerLoss:
     def test_crash_maps_to_batch_error_with_request_index(
         self, requests_file, monkeypatch
@@ -316,7 +384,7 @@ class TestWorkerLoss:
         from repro.ops import pool as pool_module
 
         monkeypatch.setattr(
-            pool_module, "_execute_chunk", _crash_worker
+            pool_module, "_execute_chunk", crash_worker
         )
         executor = BatchExecutor(workers=2, chunk_size=2)
         with pytest.raises(BatchError) as excinfo:
@@ -334,7 +402,7 @@ class TestWorkerLoss:
         requests = load_requests(requests_file)
         serial = BatchExecutor(workers=1).run(requests)
         monkeypatch.setattr(
-            pool_module, "_execute_chunk", _crash_worker
+            pool_module, "_execute_chunk", crash_worker
         )
         executor = BatchExecutor(
             workers=2, warm=True, use_cache=False
@@ -357,7 +425,7 @@ class TestWorkerLoss:
         from repro.ops import pool as pool_module
 
         monkeypatch.setattr(
-            pool_module, "_execute_chunk", _crash_worker
+            pool_module, "_execute_chunk", crash_worker
         )
         log = tmp_path / "audit.jsonl"
         observer = Observer.recording(log)
