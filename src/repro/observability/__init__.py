@@ -33,9 +33,9 @@ architecture so every subsystem can emit into it:
   hybrid) attributing samples to the active span and emitting
   collapsed-stack output for flamegraph tooling;
 * :mod:`~repro.observability.flight` — the flight recorder: a
-  bounded ring of recent events/spans/metric deltas, dumped on
-  failure as a hash-chained, configuration-invariant incident
-  bundle;
+  bounded ring of recent audit events, dumped on failure as an
+  incident bundle whose body is a configuration-invariant audit
+  chain, checked by the same verifier as the trail;
 * :mod:`~repro.observability.windows` /
   :mod:`~repro.observability.slo` — logical-clock telemetry windows
   (per-N-requests, no wall time) and the declarative SLO engine
@@ -69,6 +69,7 @@ from .log import (
     load_events,
     verify_events,
     verify_jsonl,
+    verify_lines,
 )
 from .metrics import (
     BUCKET_BOUNDS,
@@ -149,5 +150,6 @@ __all__ = [
     "verify_bundle_text",
     "verify_events",
     "verify_jsonl",
+    "verify_lines",
     "windows_from_events",
 ]

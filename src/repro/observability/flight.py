@@ -1,4 +1,4 @@
-"""The flight recorder: a bounded ring of recent telemetry frames.
+"""The flight recorder: a bounded ring of recent audit events.
 
 When a batch run degrades or a worker process dies, the operator's
 first question is *what was happening just before* — and the answer
@@ -7,36 +7,36 @@ itself, because incident evidence about illicit-origin data handling
 is exactly the kind of record a REB inspects. The
 :class:`FlightRecorder` is the clock-free answer:
 
-* **A bounded ring.** ``record_event`` / ``record_span`` /
-  ``record_metric`` append small frames to a ``deque(maxlen=N)``;
-  old frames fall off the front (the ``dropped`` counter stays
-  honest about it). The recorder taps
+* **A bounded ring.** ``record_event`` appends one raw event to a
+  ``deque(maxlen=N)``; old events fall off the front (the
+  ``dropped`` counter stays honest about it). The recorder taps
   :func:`~repro.observability.runtime.audit_event` through the
   installed :class:`~repro.observability.runtime.Observer`, so every
   audit bracket the batch executor and ``WarmPool`` emit — including
   worker-shard events replayed in input order — lands in the ring
-  without any call-site changes.
-* **Configuration-invariant frames.** Frame details are normalized
+  without any call-site changes. Audit events are the ring's only
+  input: spans and metrics stay in the tracer and registry, which
+  each bundle's envelope snapshots.
+* **Configuration-invariant frames.** Event details are normalized
   by projecting out :data:`RUN_SCOPE_DETAIL_KEYS` (today just
   ``workers``) — the keys that honestly describe the *execution
   configuration* rather than the *work*. The full-fidelity values
-  stay in the audit chain; the ring keeps only what must be
-  byte-identical across worker counts. Span frames carry name and
-  depth, never seconds; timings are envelope material.
-* **Self-contained incident bundles.** :meth:`incident` snapshots
-  the ring into an :class:`IncidentBundle`: a JSONL **body** (one
-  header line, then one hash-chained line per frame — BLAKE2b-256
-  over canonical JSON, each frame binding its predecessor's digest,
-  like the audit chain) carrying the normalized frames, the folded
-  metric deltas and the logical dispatch plan, plus one **envelope**
-  line for everything configuration- or wall-clock-flavoured: the
-  free-text reason, the live registry snapshot, the caller's
-  context. The body bytes of a deterministic failure are identical
-  across batch worker counts 1/2/4 — the acceptance property
-  ``tests/test_health_surface.py`` pins down — and
-  :func:`verify_bundle_text` re-walks the chain, reusing the audit
-  verifier's :class:`~repro.observability.log.ChainVerification`
-  diagnosis vocabulary.
+  stay in the process audit chain; the ring keeps only what must be
+  byte-identical across worker counts.
+* **Incident bundles are audit chains.** :meth:`incident` re-seals
+  the normalized ring into a fresh in-memory
+  :class:`~repro.observability.log.AuditTrail` and snapshots it as
+  an :class:`IncidentBundle`: a JSONL **body** (one header line
+  carrying the chain anchors and the logical dispatch plan, then one
+  ``AuditEvent.to_json()`` line per ringed event) plus one
+  **envelope** line for everything configuration- or
+  wall-clock-flavoured: the free-text reason, the live registry
+  snapshot, the caller's context. The body bytes of a deterministic
+  failure are identical across batch worker counts 1/2/4 — the
+  acceptance property ``tests/test_health_surface.py`` pins down —
+  and :func:`verify_bundle_text` is the audit verifier
+  (:func:`~repro.observability.log.verify_lines`) anchored by the
+  header's ``frames`` count and ``tail_digest``.
 
 Bundles dump to ``dump_dir/incident-<seq>-<kind>.jsonl`` (sequence-
 numbered, clock-free names) and each dump emits an ``obs/incident``
@@ -52,8 +52,8 @@ from collections import deque
 from pathlib import Path
 
 from ..errors import SafeguardError
-from .events import GENESIS_DIGEST
-from .log import ChainVerification
+from .events import AuditEvent
+from .log import AuditTrail, ChainVerification, verify_lines
 
 __all__ = [
     "FlightRecorder",
@@ -73,7 +73,11 @@ RUN_SCOPE_DETAIL_KEYS: frozenset[str] = frozenset({"workers"})
 DEFAULT_CAPACITY = 256
 
 _BUNDLE_MARKER = "repro-incident"
-_BUNDLE_VERSION = 1
+_BUNDLE_VERSION = 2
+_HEADER_KEYS = frozenset(
+    {"dropped", "frames", "kind", "plan", "sequence", "tail_digest"}
+)
+_ENVELOPE_PREFIX = '{"envelope":'
 
 
 def _canonical(record: dict) -> str:
@@ -83,40 +87,22 @@ def _canonical(record: dict) -> str:
     )
 
 
-def _frame_digest(
-    index: int, frame: dict, previous_digest: str
-) -> str:
-    """BLAKE2b-256 over the canonical chained-frame payload."""
-    material = _canonical(
-        {
-            "frame": frame,
-            "index": index,
-            "previous_digest": previous_digest,
-        }
-    )
-    return hashlib.blake2b(
-        material.encode("utf-8"), digest_size=32
-    ).hexdigest()
+def _normalized(
+    category: str, action: str, subject: str, detail: dict
+) -> dict:
+    """One ringed event in its canonical, configuration-free form.
 
-
-def _normalized(frame: dict) -> dict:
-    """One ring frame in its canonical, configuration-free form.
-
-    Event frames are stored raw on the hot path; this projects out
-    the :data:`RUN_SCOPE_DETAIL_KEYS`, sorts the detail keys and
-    coerces values to JSON-safe forms. Span and metric frames are
-    already canonical and pass through unchanged.
+    Events are stored raw on the hot path; this projects out the
+    :data:`RUN_SCOPE_DETAIL_KEYS`, sorts the detail keys and coerces
+    values to JSON-safe forms.
     """
-    if frame["kind"] != "event":
-        return frame
     return {
-        "kind": "event",
-        "category": frame["category"],
-        "action": frame["action"],
-        "subject": frame["subject"],
+        "category": category,
+        "action": action,
+        "subject": subject,
         "detail": {
             key: _json_safe(value)
-            for key, value in sorted(frame["detail"].items())
+            for key, value in sorted(detail.items())
             if key not in RUN_SCOPE_DETAIL_KEYS
         },
     }
@@ -138,32 +124,29 @@ def _json_safe(value: object) -> object:
 
 @dataclasses.dataclass(frozen=True)
 class IncidentBundle:
-    """One dumped incident: chained frames, plan, deltas, envelope.
+    """One dumped incident: a sealed event chain, plan and envelope.
 
-    ``records`` are the chained frame lines (each
-    ``{"digest", "frame", "index", "previous_digest"}``);
-    ``tail_digest`` anchors the chain; ``plan`` is the logical
-    dispatch plan (worker-count invariant); ``deltas`` are the folded
-    ``metric`` frames; ``envelope`` holds everything excluded from
-    the byte-stable body.
+    ``events`` are the re-sealed ring events (sequence numbers from
+    0, chained from the genesis digest); ``tail_digest`` anchors the
+    chain; ``plan`` is the logical dispatch plan (worker-count
+    invariant); ``envelope`` holds everything excluded from the
+    byte-stable body.
     """
 
     kind: str
     sequence: int
-    records: tuple[dict, ...]
+    events: tuple[AuditEvent, ...]
     dropped: int
     tail_digest: str
     plan: dict | None = None
-    deltas: dict = dataclasses.field(default_factory=dict)
     envelope: dict = dataclasses.field(default_factory=dict)
 
     def header(self) -> dict:
         """The first body line: bundle identity and chain anchors."""
         return {
             "bundle": _BUNDLE_MARKER,
-            "deltas": dict(self.deltas),
             "dropped": self.dropped,
-            "frames": len(self.records),
+            "frames": len(self.events),
             "kind": self.kind,
             "plan": self.plan,
             "sequence": self.sequence,
@@ -172,16 +155,14 @@ class IncidentBundle:
         }
 
     def body_jsonl(self) -> str:
-        """The byte-stable body: header line + chained frame lines.
+        """The byte-stable body: header line + audit-event lines.
 
         This is the artifact asserted byte-identical across batch
         worker counts; everything configuration-dependent lives in
         the envelope instead.
         """
         lines = [_canonical(self.header())]
-        lines.extend(
-            _canonical(record) for record in self.records
-        )
+        lines.extend(event.to_json() for event in self.events)
         return "\n".join(lines) + "\n"
 
     def digest(self) -> str:
@@ -198,7 +179,7 @@ class IncidentBundle:
 
 
 class FlightRecorder:
-    """Bounded telemetry ring with incident-bundle dumps."""
+    """Bounded audit-event ring with incident-bundle dumps."""
 
     __slots__ = (
         "capacity",
@@ -224,7 +205,7 @@ class FlightRecorder:
         )
         self.dropped = 0
         self.incidents: list[IncidentBundle] = []
-        self._frames: deque[dict] = deque(maxlen=capacity)
+        self._frames: deque[tuple] = deque(maxlen=capacity)
         self._plan: dict | None = None
 
     def __len__(self) -> int:
@@ -232,15 +213,8 @@ class FlightRecorder:
 
     @property
     def frames(self) -> tuple[dict, ...]:
-        """A snapshot of the ring, normalized, oldest frame first."""
-        return tuple(
-            _normalized(frame) for frame in self._frames
-        )
-
-    def _append(self, frame: dict) -> None:
-        if len(self._frames) == self.capacity:
-            self.dropped += 1
-        self._frames.append(frame)
+        """A snapshot of the ring, normalized, oldest event first."""
+        return tuple(_normalized(*frame) for frame in self._frames)
 
     def record_event(
         self,
@@ -263,67 +237,13 @@ class FlightRecorder:
         which is what keeps the flight tap within the 5% overhead
         budget of E16.
         """
-        self._append(
-            {
-                "kind": "event",
-                "category": category,
-                "action": action,
-                "subject": subject,
-                "detail": detail,
-            }
-        )
-
-    def record_span(self, name: str, depth: int) -> None:
-        """Ring one finished span — name and depth, never seconds."""
-        self._append(
-            {"kind": "span", "name": name, "depth": depth}
-        )
-
-    def record_metric(
-        self, name: str, value: int | float
-    ) -> None:
-        """Ring one deterministic metric delta.
-
-        Only coordinator-side, worker-count-invariant deltas belong
-        here (batch ok/failed counts, planned request totals) —
-        timing metrics live in the registry, which each bundle
-        carries in its envelope instead.
-        """
-        self._append(
-            {"kind": "metric", "name": name, "value": value}
-        )
+        if len(self._frames) == self.capacity:
+            self.dropped += 1
+        self._frames.append((category, action, subject, detail))
 
     def note_plan(self, plan: dict) -> None:
         """Remember the current run's logical dispatch plan."""
         self._plan = plan
-
-    def _chained(self) -> tuple[tuple[dict, ...], str]:
-        """The ring as hash-chained records plus the tail digest."""
-        records: list[dict] = []
-        previous = GENESIS_DIGEST
-        for index, raw in enumerate(self._frames):
-            frame = _normalized(raw)
-            digest = _frame_digest(index, frame, previous)
-            records.append(
-                {
-                    "digest": digest,
-                    "frame": frame,
-                    "index": index,
-                    "previous_digest": previous,
-                }
-            )
-            previous = digest
-        return tuple(records), previous
-
-    def _deltas(self) -> dict:
-        """Metric frames currently ringed, folded to sorted sums."""
-        totals: dict[str, int | float] = {}
-        for frame in self._frames:
-            if frame["kind"] != "metric":
-                continue
-            name = frame["name"]
-            totals[name] = totals.get(name, 0) + frame["value"]
-        return dict(sorted(totals.items()))
 
     def incident(
         self, kind: str, reason: str = "", **context: object
@@ -342,7 +262,14 @@ class FlightRecorder:
         """
         from .runtime import audit_event, metrics
 
-        records, tail_digest = self._chained()
+        trail = AuditTrail()
+        for frame in self.frames:
+            trail.event(
+                frame["category"],
+                frame["action"],
+                frame["subject"],
+                **frame["detail"],
+            )
         envelope: dict = {
             "context": {
                 key: _json_safe(value)
@@ -354,15 +281,13 @@ class FlightRecorder:
         bundle = IncidentBundle(
             kind=kind,
             sequence=len(self.incidents),
-            records=records,
+            events=tuple(trail),
             dropped=self.dropped,
-            tail_digest=tail_digest,
+            tail_digest=trail.tail_digest,
             plan=self._plan,
-            deltas=self._deltas(),
             envelope=envelope,
         )
         self.incidents.append(bundle)
-        path: Path | None = None
         if self.dump_dir is not None:
             self.dump_dir.mkdir(parents=True, exist_ok=True)
             path = self.dump_dir / (
@@ -373,121 +298,98 @@ class FlightRecorder:
             "obs",
             "incident",
             subject=kind,
-            frames=len(records),
+            frames=len(bundle.events),
             sequence=bundle.sequence,
             digest=bundle.digest(),
         )
         return bundle
 
 
-def load_bundle_text(text: str) -> tuple[dict, list[dict], dict]:
-    """Parse a dumped bundle: (header, frame records, envelope).
+def _json_object(line: str, number: int) -> dict:
+    """Parse one structural bundle line (header or envelope)."""
+    try:
+        body = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise SafeguardError(
+            f"incident bundle line {number} is not JSON: {exc}"
+        ) from exc
+    if not isinstance(body, dict):
+        raise SafeguardError(
+            f"incident bundle line {number} must be an object"
+        )
+    return body
+
+
+def _split_bundle_text(text: str) -> tuple[dict, list[str], dict]:
+    """(header, raw event lines, envelope) of a dumped bundle.
 
     Raises :class:`~repro.errors.SafeguardError` on structural
-    damage (bad JSON, missing marker); chain damage is the verifier's
-    department.
+    damage: no header, a header without the marker, an unsupported
+    version or a missing anchor key. Event lines stay raw, so chain
+    damage (even an event line that no longer parses) is left to the
+    verifier to localize.
     """
-    header: dict | None = None
-    records: list[dict] = []
-    envelope: dict = {}
-    for number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            body = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SafeguardError(
-                f"incident bundle line {number} is not JSON: {exc}"
-            ) from exc
-        if not isinstance(body, dict):
-            raise SafeguardError(
-                f"incident bundle line {number} must be an object"
-            )
-        if header is None:
-            if body.get("bundle") != _BUNDLE_MARKER:
-                raise SafeguardError(
-                    "not an incident bundle: first line lacks the "
-                    f"{_BUNDLE_MARKER!r} marker"
-                )
-            header = body
-        elif "envelope" in body:
-            envelope = body["envelope"]
-        else:
-            records.append(body)
-    if header is None:
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
         raise SafeguardError("incident bundle is empty")
+    header = _json_object(lines[0], 1)
+    if header.get("bundle") != _BUNDLE_MARKER:
+        raise SafeguardError(
+            "not an incident bundle: first line lacks the "
+            f"{_BUNDLE_MARKER!r} marker"
+        )
+    if header.get("version") != _BUNDLE_VERSION:
+        raise SafeguardError(
+            f"incident bundle version {header.get('version')!r} is "
+            f"not supported (expected {_BUNDLE_VERSION})"
+        )
+    missing = sorted(_HEADER_KEYS - header.keys())
+    if missing:
+        raise SafeguardError(
+            f"incident bundle header lacks {', '.join(missing)}"
+        )
+    records = lines[1:]
+    envelope: dict = {}
+    if records and records[-1].startswith(_ENVELOPE_PREFIX):
+        envelope = _json_object(records.pop(), len(lines))["envelope"]
     return header, records, envelope
 
 
-def verify_bundle_text(text: str) -> ChainVerification:
-    """Re-walk a dumped bundle's frame chain, localizing damage.
+def load_bundle_text(
+    text: str,
+) -> tuple[dict, tuple[AuditEvent, ...], dict]:
+    """Parse a dumped bundle: (header, audit events, envelope).
 
-    The same diagnosis vocabulary as the audit verifier: an intact
-    bundle reports its length and tail digest; an altered, spliced or
-    truncated one names the first bad record. The header's ``frames``
-    count and ``tail_digest`` act as the built-in out-of-band
-    anchors, so dropping trailing frame lines is detected.
+    Raises :class:`~repro.errors.SafeguardError` on structural
+    damage (see :func:`verify_bundle_text` for what counts) and on
+    an event line that no longer parses, naming its line number.
     """
-    header, records, _ = load_bundle_text(text)
-    previous = GENESIS_DIGEST
-    for position, record in enumerate(records):
-        frame = record.get("frame")
-        if not isinstance(frame, dict):
-            return ChainVerification(
-                ok=False,
-                length=position,
-                tail_digest=previous,
-                error_index=position,
-                reason="record has no frame object",
-            )
-        if record.get("index") != position:
-            return ChainVerification(
-                ok=False,
-                length=position,
-                tail_digest=previous,
-                error_index=position,
-                reason=(
-                    f"index {record.get('index')} breaks the "
-                    f"sequence (expected {position})"
-                ),
-            )
-        if record.get("previous_digest") != previous:
-            return ChainVerification(
-                ok=False,
-                length=position,
-                tail_digest=previous,
-                error_index=position,
-                reason="previous-digest link broken",
-            )
-        expected = _frame_digest(position, frame, previous)
-        if record.get("digest") != expected:
-            return ChainVerification(
-                ok=False,
-                length=position,
-                tail_digest=previous,
-                error_index=position,
-                reason="frame content does not match its digest",
-            )
-        previous = expected
-    if header.get("frames") != len(records):
-        return ChainVerification(
-            ok=False,
-            length=len(records),
-            tail_digest=previous,
-            error_index=len(records),
-            reason=(
-                f"header promises {header.get('frames')} frames, "
-                f"found {len(records)}"
-            ),
-        )
-    if header.get("tail_digest") != previous:
-        return ChainVerification(
-            ok=False,
-            length=len(records),
-            tail_digest=previous,
-            error_index=len(records),
-            reason="header tail digest does not match the chain",
-        )
-    return ChainVerification(
-        ok=True, length=len(records), tail_digest=previous
+    header, records, envelope = _split_bundle_text(text)
+    events = []
+    for number, line in enumerate(records, start=2):
+        try:
+            events.append(AuditEvent.from_json(line))
+        except SafeguardError as exc:
+            raise SafeguardError(
+                f"incident bundle line {number}: {exc}"
+            ) from exc
+    return header, tuple(events), envelope
+
+
+def verify_bundle_text(text: str) -> ChainVerification:
+    """Verify a dumped bundle's event chain, localizing damage.
+
+    The body is an audit chain, so this is the audit verifier
+    (:func:`~repro.observability.log.verify_lines`) with the header's
+    ``frames`` count and ``tail_digest`` as the out-of-band anchors:
+    altered, spliced, unparseable or dropped event lines are reported
+    at their index. Structural damage — no header, a missing marker,
+    a ``version`` other than the current one, a missing anchor —
+    raises :class:`~repro.errors.SafeguardError` instead.
+    """
+    header, records, _ = _split_bundle_text(text)
+    return verify_lines(
+        records,
+        expected_length=header["frames"],
+        expected_tail_digest=header["tail_digest"],
     )

@@ -7,9 +7,10 @@ it is appended — the on-disk log is therefore always a prefix of the
 in-memory chain and can be inspected (or verified) while the process
 is still running.
 
-Verification (:func:`verify_events` / :func:`verify_jsonl`) walks the
-chain once and reports a :class:`ChainVerification` that **localizes
-the first corrupted record**:
+Verification (:func:`verify_events` / :func:`verify_lines` /
+:func:`verify_jsonl`) walks the chain once and reports a
+:class:`ChainVerification` that **localizes the first corrupted
+record**:
 
 * a record whose stored digest does not match its recomputed digest
   has been *altered in place* (a bit flip anywhere in the line);
@@ -40,6 +41,7 @@ __all__ = [
     "load_events",
     "verify_events",
     "verify_jsonl",
+    "verify_lines",
 ]
 
 
@@ -183,28 +185,23 @@ def load_events(path: str | Path) -> list[AuditEvent]:
     return events
 
 
-def verify_jsonl(
-    path: str | Path,
+def verify_lines(
+    lines: Iterable[str],
     *,
     expected_length: int | None = None,
     expected_tail_digest: str | None = None,
 ) -> ChainVerification:
-    """Verify an on-disk JSONL audit log, localizing corruption.
+    """Verify JSONL audit records given as text lines.
 
-    A line that no longer parses (a bit flip can break the JSON
-    itself) is reported as the corrupt record at its 0-based index
-    rather than raising.
+    Blank lines are skipped. A line that no longer parses (a bit flip
+    can break the JSON itself) is reported as the corrupt record at
+    its 0-based index rather than raising. Every serialized chain —
+    an on-disk audit log, an incident bundle's body — goes through
+    this one walk.
     """
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8", errors="replace")
-    except OSError as exc:
-        raise SafeguardError(
-            f"cannot read audit log {path}: {exc}"
-        ) from exc
     events: list[AuditEvent] = []
-    lines = [line for line in text.splitlines() if line.strip()]
-    for index, line in enumerate(lines):
+    records = [line for line in lines if line.strip()]
+    for index, line in enumerate(records):
         try:
             events.append(AuditEvent.from_json(line))
         except SafeguardError:
@@ -223,6 +220,27 @@ def verify_jsonl(
             )
     return verify_events(
         events,
+        expected_length=expected_length,
+        expected_tail_digest=expected_tail_digest,
+    )
+
+
+def verify_jsonl(
+    path: str | Path,
+    *,
+    expected_length: int | None = None,
+    expected_tail_digest: str | None = None,
+) -> ChainVerification:
+    """Verify an on-disk JSONL audit log (see :func:`verify_lines`)."""
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8", errors="replace")
+    except OSError as exc:
+        raise SafeguardError(
+            f"cannot read audit log {path}: {exc}"
+        ) from exc
+    return verify_lines(
+        text.splitlines(),
         expected_length=expected_length,
         expected_tail_digest=expected_tail_digest,
     )

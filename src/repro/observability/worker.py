@@ -147,13 +147,6 @@ def replay_shard(shard: WorkerTelemetry) -> None:
         return
     for category, action, subject, detail in shard.events:
         audit_event(category, action, subject, **detail)
-    recorder = observer.flight
-    if recorder is not None:
-        # The ring keeps span frames clock-free: name and depth in
-        # replay (= input) order, never the seconds — those stay in
-        # the tracer/registry, which bundles carry in the envelope.
-        for name, depth, _seconds in shard.spans:
-            recorder.record_span(name, depth)
     if observer.tracer.enabled:
         observer.tracer.absorb(
             SpanRecord(name, depth, seconds)

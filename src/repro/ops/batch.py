@@ -408,10 +408,6 @@ class BatchExecutor:
                 pool.shutdown()
         ok = sum(1 for line in lines if line["ok"])
         failed = len(lines) - ok
-        if recorder is not None:
-            recorder.record_metric("ops.batch.requests", len(lines))
-            recorder.record_metric("ops.batch.ok", ok)
-            recorder.record_metric("ops.batch.failed", failed)
         audit_event(
             "ops",
             "batch-finished",
@@ -607,7 +603,7 @@ def _run_batch(request: dict, ctx: RunContext) -> OpResponse:
             "incidents": [
                 {
                     "digest": bundle.digest(),
-                    "frames": len(bundle.records),
+                    "frames": len(bundle.events),
                     "kind": bundle.kind,
                 }
                 for bundle in recorder.incidents
@@ -702,8 +698,8 @@ def batch_operation() -> Operation:
                 metavar="N",
                 help=(
                     "flight-recorder ring size: how many recent "
-                    "events/spans/metric deltas an incident bundle "
-                    "carries (default: 256)"
+                    "audit events an incident bundle carries "
+                    "(default: 256)"
                 ),
             ),
         ),

@@ -224,6 +224,16 @@ def _run_audit_verify(request: dict, ctx: RunContext) -> OpResponse:
     )
 
 
+def _event_line(event) -> str:
+    """One audit event as ``#<sequence> <category>/<action> ...``."""
+    subject = f" {event.subject}" if event.subject else ""
+    detail = json.dumps(event.detail, sort_keys=True)
+    return (
+        f"#{event.sequence} {event.category}/{event.action}"
+        f"{subject} {detail}"
+    )
+
+
 def _run_audit_tail(request: dict, ctx: RunContext) -> OpResponse:
     """Print the last events of a persisted audit log."""
     from ..observability import load_events
@@ -232,12 +242,7 @@ def _run_audit_tail(request: dict, ctx: RunContext) -> OpResponse:
     lines: list[str] = []
     tail = []
     for event in events[-request["count"]:]:
-        subject = f" {event.subject}" if event.subject else ""
-        detail = json.dumps(event.detail, sort_keys=True)
-        lines.append(
-            f"#{event.sequence} {event.category}/{event.action}"
-            f"{subject} {detail}"
-        )
+        lines.append(_event_line(event))
         tail.append(
             {
                 "action": event.action,
@@ -481,11 +486,11 @@ def _run_obs_incident(request: dict, ctx: RunContext) -> OpResponse:
             f"cannot read incident bundle "
             f"{request['bundle']!r}: {exc}"
         ) from exc
-    header, records, envelope = load_bundle_text(text)
+    header, events, envelope = load_bundle_text(text)
     verification = verify_bundle_text(text)
     payload = {
         "dropped": header["dropped"],
-        "frames": len(records),
+        "frames": len(events),
         "intact": verification.ok,
         "kind": header["kind"],
         "plan": header["plan"],
@@ -498,34 +503,17 @@ def _run_obs_incident(request: dict, ctx: RunContext) -> OpResponse:
         payload["verification_reason"] = verification.reason
     lines = [
         f"incident #{header['sequence']}: {header['kind']}",
-        f"frames: {len(records)} ({header['dropped']} dropped "
+        f"frames: {len(events)} ({header['dropped']} dropped "
         "before capture)",
         f"chain: {verification.describe()}",
     ]
     if envelope.get("reason"):
         lines.append(f"reason: {envelope['reason']}")
-    for record in records[-request["tail"]:] if request["tail"] else []:
-        frame = record["frame"]
-        if frame["kind"] == "event":
-            subject = (
-                f" {frame['subject']}" if frame["subject"] else ""
-            )
-            detail = json.dumps(frame["detail"], sort_keys=True)
-            lines.append(
-                f"  #{record['index']} event "
-                f"{frame['category']}/{frame['action']}"
-                f"{subject} {detail}"
-            )
-        elif frame["kind"] == "span":
-            lines.append(
-                f"  #{record['index']} span {frame['name']} "
-                f"(depth {frame['depth']})"
-            )
-        else:
-            lines.append(
-                f"  #{record['index']} metric {frame['name']} "
-                f"+{frame['value']}"
-            )
+    if request["tail"]:
+        lines.extend(
+            f"  {_event_line(event)}"
+            for event in events[-request["tail"]:]
+        )
     return OpResponse(
         payload=payload,
         text=_text(lines),

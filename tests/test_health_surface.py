@@ -42,6 +42,7 @@ from repro.observability import (
     load_events,
     observed,
     verify_bundle_text,
+    verify_events,
     windows_from_events,
 )
 from repro.ops import BatchExecutor, load_requests
@@ -55,6 +56,12 @@ REQUEST_LINES = [
     {"op": "no-such-op"},
     {"op": "table1", "args": {"format": "csv"}},
     {"op": "intervals"},
+    # Pipeline workers ship span shards home; the ring must not pick
+    # them up, or the body would differ between --workers 1 and 2.
+    {
+        "op": "pipeline",
+        "args": {"users": 8, "days": 2, "stages": "anonymize,scrub"},
+    },
 ]
 
 
@@ -358,14 +365,30 @@ class TestSloEvaluation:
         assert report.exit_code == 0
 
 
+def _dumped_bundle(tmp_path) -> list[str]:
+    """Dump a bundle of three tick events; returns its lines."""
+    recorder = FlightRecorder(capacity=8, dump_dir=tmp_path)
+    for index in range(3):
+        recorder.record_event("obs", "tick", "", {"value": index})
+    recorder.incident("unit-test")
+    path = tmp_path / "incident-000-unit-test.jsonl"
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+def _joined(lines: list[str]) -> str:
+    return "\n".join(lines) + "\n"
+
+
 class TestFlightRecorder:
     def test_ring_is_bounded_and_honest_about_drops(self):
         recorder = FlightRecorder(capacity=4)
         for index in range(9):
-            recorder.record_metric("tick", index)
+            recorder.record_event("obs", "tick", "", {"value": index})
         assert len(recorder) == 4
         assert recorder.dropped == 5
-        assert [f["value"] for f in recorder.frames] == [5, 6, 7, 8]
+        assert [
+            f["detail"]["value"] for f in recorder.frames
+        ] == [5, 6, 7, 8]
 
     def test_run_scope_detail_projected_out(self):
         recorder = FlightRecorder(capacity=8)
@@ -381,8 +404,12 @@ class TestFlightRecorder:
     def test_incident_dump_verifies(self, tmp_path):
         recorder = FlightRecorder(capacity=8, dump_dir=tmp_path)
         recorder.record_event("ops", "request-failed", "x", {})
-        recorder.record_span("stage.anonymize", 1)
-        recorder.record_metric("ops.batch.failed", 1)
+        recorder.record_event(
+            "pipeline", "stage-applied", "anonymize", {"chunk": 0}
+        )
+        recorder.record_event(
+            "ops", "batch-finished", "", {"failed": 1, "workers": 2}
+        )
         bundle = recorder.incident(
             "unit-test", reason="because", extra=7
         )
@@ -391,26 +418,63 @@ class TestFlightRecorder:
         verification = verify_bundle_text(text)
         assert verification.ok
         assert verification.length == 3
-        header, records, envelope = load_bundle_text(text)
+        header, events, envelope = load_bundle_text(text)
         assert header["kind"] == "unit-test"
-        assert header["deltas"] == {"ops.batch.failed": 1}
+        assert header["version"] == 2
+        assert header["tail_digest"] == verification.tail_digest
+        assert [event.sequence for event in events] == [0, 1, 2]
+        assert events[2].detail == {"failed": 1}
+        # The body is a plain audit chain: the audit verifier agrees.
+        assert verify_events(events).ok
         assert envelope["reason"] == "because"
         assert envelope["context"]["extra"] == 7
         assert bundle.digest() == verify_digest(text)
 
     def test_tampered_bundle_localized(self, tmp_path):
-        recorder = FlightRecorder(capacity=8, dump_dir=tmp_path)
-        for index in range(3):
-            recorder.record_metric("tick", index)
-        recorder.incident("unit-test")
-        path = tmp_path / "incident-000-unit-test.jsonl"
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = _dumped_bundle(tmp_path)
         lines[2] = lines[2].replace('"value":1', '"value":9')
-        verification = verify_bundle_text(
-            "\n".join(lines) + "\n"
-        )
+        verification = verify_bundle_text(_joined(lines))
         assert not verification.ok
         assert verification.error_index == 1
+
+    def test_unparseable_record_localized(self, tmp_path):
+        lines = _dumped_bundle(tmp_path)
+        lines[2] = lines[2][:-5]
+        verification = verify_bundle_text(_joined(lines))
+        assert not verification.ok
+        assert verification.error_index == 1
+        assert "no longer valid JSON" in verification.reason
+        with pytest.raises(SafeguardError, match="line 3"):
+            load_bundle_text(_joined(lines))
+
+    def test_dropped_last_record_detected(self, tmp_path):
+        lines = _dumped_bundle(tmp_path)
+        header = json.loads(lines[0])
+        del lines[header["frames"]]  # the last event line
+        verification = verify_bundle_text(_joined(lines))
+        assert not verification.ok
+        # Reported where the missing record should have been.
+        assert verification.error_index == header["frames"] - 1
+        assert "truncated" in verification.reason
+
+    @pytest.mark.parametrize("key", ["frames", "tail_digest"])
+    def test_header_without_anchor_rejected(self, tmp_path, key):
+        lines = _dumped_bundle(tmp_path)
+        header = json.loads(lines[0])
+        del header[key]
+        lines[0] = json.dumps(header, sort_keys=True)
+        with pytest.raises(SafeguardError, match=key):
+            verify_bundle_text(_joined(lines))
+
+    def test_old_bundle_version_rejected(self, tmp_path):
+        lines = _dumped_bundle(tmp_path)
+        header = json.loads(lines[0])
+        header["version"] = 1
+        lines[0] = json.dumps(header, sort_keys=True)
+        with pytest.raises(SafeguardError, match="version 1"):
+            verify_bundle_text(_joined(lines))
+        with pytest.raises(SafeguardError, match="version 1"):
+            load_bundle_text(_joined(lines))
 
     def test_structurally_damaged_bundle_rejected(self):
         with pytest.raises(SafeguardError):
@@ -584,11 +648,8 @@ class TestWorkerLostIncident:
         assert path.name == "incident-000-worker-lost.jsonl"
         text = path.read_text(encoding="utf-8")
         assert verify_bundle_text(text).ok
-        _, records, envelope = load_bundle_text(text)
-        assert any(
-            record["frame"].get("action") == "worker-lost"
-            for record in records
-        )
+        _, events, envelope = load_bundle_text(text)
+        assert any(event.action == "worker-lost" for event in events)
         assert "BrokenProcessPool" in envelope["reason"]
 
 
